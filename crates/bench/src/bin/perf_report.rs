@@ -281,11 +281,10 @@ fn run() -> Result<bool, String> {
     let _ = writeln!(json, "  \"samples\": {SAMPLES},");
     let _ = writeln!(
         json,
-        "  \"note\": \"cold-cache shape fan-out is gated by a small-work cutoff \
-         (pipeline::PAR_COST_CUTOFF), so designs whose pending shapes are too small to \
-         amortize a worker pool run inline; on a host without spare cores every design runs \
-         inline and the serial-vs-cached ratio sits at 1.0 within measurement noise, with \
-         dedup (cache hits) the only structural saving\","
+        "  \"note\": \"the cached flow resolves its distinct shapes one after another \
+         through the shape registry and spends every worker thread inside each shape, so \
+         the serial-vs-cached ratio comes from dedup (cache hits) plus intra-shape \
+         parallelism; on a host without spare cores it is dedup alone\","
     );
     json.push_str("  \"designs\": [\n");
     for (i, r) in rows.iter().enumerate() {

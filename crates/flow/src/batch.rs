@@ -3,11 +3,13 @@
 //! distinct controller shape is synthesized **exactly once** per fleet no
 //! matter how many jobs need it or how they interleave.
 //!
-//! The per-job pipeline mirrors [`crate::pipeline::run_control_flow_with`]
-//! — translate, cluster, key — but resolves every unique shape through a
-//! [`ShapeRegistry`] instead of synthesizing its own misses. The registry
-//! layers on top of the shared [`ControllerCache`] (and through it the
-//! persistent [`crate::DiskCache`], when configured):
+//! [`flow_through_registry`] is the one flow body of every cached run —
+//! translate, cluster, key, resolve every unique shape through a
+//! [`ShapeRegistry`], instantiate. Batch jobs share one fleet-wide
+//! registry; [`crate::pipeline::run_control_flow_with`] builds a
+//! call-local one. The registry layers on top of the shared
+//! [`ControllerCache`] (and through it the persistent
+//! [`crate::DiskCache`], when configured):
 //!
 //! * **hit** — the shape is already in the cache (memory or disk);
 //! * **synthesized** — this job claimed the in-flight slot and ran the
@@ -30,12 +32,12 @@ use crate::cache::{
 };
 use crate::csim::simulate_scenarios;
 use crate::fault::FaultPhase;
-use crate::pipeline::{instantiate, ControllerArtifact, FlowOptions, FlowResult};
+use crate::pipeline::{
+    instantiate, ControllerArtifact, FlowError, FlowOptions, FlowResult, Partitioned,
+};
 use crate::profile::PhaseProfile;
 use crate::table3::{check_outcome, to_flow_scenario};
-use crate::templates::template_table;
 use bmbe_balsa::CompiledDesign;
-use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_designs::scenarios::DesignScenario;
 use bmbe_designs::variants_of;
 use bmbe_gates::Library;
@@ -96,6 +98,9 @@ pub enum Resolution {
     /// Reused from another job's in-flight synthesis of the same digest.
     Shared,
 }
+
+/// One resolved shape: its artifact and how it was obtained.
+type Resolved = (Arc<SynthArtifact>, Resolution);
 
 /// A singleflight slot: one in-flight (or finished) synthesis of a shape.
 struct Slot {
@@ -175,29 +180,57 @@ impl<'a> ShapeRegistry<'a> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Resolves one keyed shape: cache peek, then claim-or-wait on the
-    /// in-flight slot. The owner synthesizes on the canonical program
-    /// (panic-isolated) with `inner` worker threads and stores the result
-    /// write-through; waiters block until the flight lands and reuse its
-    /// result.
+    /// Resolves one design's distinct shapes, given in component order.
+    /// Every shape is looked up in the shared cache first; the misses are
+    /// then claimed or waited on, in the same order. Doing every lookup
+    /// before any synthesis fixes the disk-operation order (reads, then
+    /// the misses' write-through stores), and claiming in component order
+    /// fixes which shape a [`crate::FaultPlan`] targets. The owner of a
+    /// claim synthesizes the canonical program (panic-isolated) with
+    /// `inner` worker threads and stores the result write-through; waiters
+    /// block until the flight lands and reuse its result.
     ///
     /// # Errors
     ///
-    /// The owning flight's error, shared by every waiter on the same
-    /// digest. Failed flights stay failed (the slot is not retried) so a
-    /// poisoned shape is synthesized at most once per fleet.
+    /// The index of the first failing shape, with its owning flight's
+    /// error (shared by every waiter on the same digest). Shapes after it
+    /// are not claimed. Failed flights stay failed (the slot is not
+    /// retried), so a poisoned shape is synthesized at most once per fleet.
     pub fn resolve(
+        &self,
+        shapes: &[&KeyedProgram],
+        options: &FlowOptions,
+        inner: usize,
+    ) -> Result<Vec<Resolved>, (usize, Arc<ShapeError>)> {
+        let found: Vec<Option<Arc<SynthArtifact>>> = shapes
+            .iter()
+            .map(|keyed| {
+                lock(&self.seen).insert(keyed.key.clone());
+                let artifact = self.cache.peek(&keyed.key)?;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                bmbe_obs::trace_counter!("batch.shapes.hits", 1);
+                Some(artifact)
+            })
+            .collect();
+        shapes
+            .iter()
+            .zip(found)
+            .enumerate()
+            .map(|(i, (keyed, found))| match found {
+                Some(artifact) => Ok((artifact, Resolution::Hit)),
+                None => self.claim(keyed, options, inner).map_err(|e| (i, e)),
+            })
+            .collect()
+    }
+
+    /// Claims the in-flight slot of a cache miss and synthesizes it, or
+    /// waits on another caller's flight of the same digest.
+    fn claim(
         &self,
         keyed: &KeyedProgram,
         options: &FlowOptions,
         inner: usize,
-    ) -> Result<(Arc<SynthArtifact>, Resolution), Arc<ShapeError>> {
-        lock(&self.seen).insert(keyed.key.clone());
-        if let Some(artifact) = self.cache.peek(&keyed.key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            bmbe_obs::trace_counter!("batch.shapes.hits", 1);
-            return Ok((artifact, Resolution::Hit));
-        }
+    ) -> Result<Resolved, Arc<ShapeError>> {
         let (slot, owner) = {
             let mut slots = lock(&self.slots);
             match slots.entry(keyed.key.clone()) {
@@ -215,9 +248,10 @@ impl<'a> ShapeRegistry<'a> {
             let _claim_span = bmbe_obs::span!("batch.claim", "batch");
             bmbe_obs::annotate_num!("shape.digest", digest as i64);
             bmbe_obs::recorder::note("batch.claim", || format!("digest {digest:016x} claimed"));
-            // Claim index across the fleet, for deterministic fault
-            // targeting: `BMBE_FAULT=<phase>:<n>` hits the n-th shape any
-            // job claims (cache_io plans are handled by the disk layer and
+            // Claim index across the registry, for deterministic fault
+            // targeting: `BMBE_FAULT=<phase>:<n>` hits the n-th shape
+            // claimed — per call for a single-design run, fleet-wide in a
+            // batch (cache_io plans are handled by the disk layer and
             // skipped here).
             let claim = self.claims.fetch_add(1, Ordering::Relaxed);
             let fault = options
@@ -503,9 +537,10 @@ pub struct ShapeStats {
 /// shape through the registry, instantiate — and returns the
 /// [`FlowResult`] plus how its shapes resolved.
 ///
-/// This is the per-design half of [`run_job`], shared with the
-/// differential gauntlet so corpus designs route through exactly the
-/// singleflight + shared-cache path the batch fleet uses.
+/// This is the flow body every cached run goes through: the batch
+/// driver's jobs, the differential gauntlet, and
+/// [`crate::run_control_flow_with`] (over a call-local registry). The
+/// `inner` thread budget is spent inside each shape.
 ///
 /// # Errors
 ///
@@ -518,107 +553,95 @@ pub fn flow_through_registry(
     registry: &ShapeRegistry<'_>,
     inner: usize,
 ) -> Result<(FlowResult, ShapeStats), JobFailure> {
-    let fail = |design: &str, phase: &'static str, error: String| JobFailure {
-        label: label.to_string(),
-        design: design.to_string(),
-        component: String::new(),
-        cache_key: String::new(),
-        phase,
-        error,
-    };
-    let design_name = design.netlist.name().to_string();
-    let mut ctrl = balsa_to_ch(&design.netlist)
-        .map_err(|e| fail(&design_name, "translate", e.to_string()))?;
-    let components_before = ctrl.components.len();
-    let cluster_report = options
-        .optimize
-        .then(|| ctrl.t2_clustering(&options.cluster));
-    let templates = if options.use_templates {
-        template_table(&design.netlist)
-    } else {
-        Default::default()
-    };
+    run_flow(design, options, registry, inner).map_err(|e| {
+        let (component, cache_key, phase, error) = match e {
+            FlowError::Translate(e) => (String::new(), String::new(), "translate", e.to_string()),
+            FlowError::Job {
+                component,
+                cache_key,
+                phase,
+                error,
+                ..
+            } => (component, cache_key, phase, error.to_string()),
+        };
+        JobFailure {
+            label: label.to_string(),
+            design: design.netlist.name().to_string(),
+            component,
+            cache_key,
+            phase,
+            error,
+        }
+    })
+}
 
-    // Resolve unique shapes in deterministic component order, so the first
-    // failing component is the one the serial pipeline would report.
-    let keyed: Vec<KeyedProgram> = ctrl
-        .components
-        .iter()
-        .map(|comp| {
-            KeyedProgram::new(
-                &comp.program,
-                options.minimize_mode,
-                options.minimize_backend,
-                options.map_objective,
-                options.map_style,
-            )
-        })
+/// [`flow_through_registry`] with the typed [`FlowError`]: the first
+/// component (in component order) whose shape failed names the failure.
+pub(crate) fn run_flow(
+    design: &CompiledDesign,
+    options: &FlowOptions,
+    registry: &ShapeRegistry<'_>,
+    inner: usize,
+) -> Result<(FlowResult, ShapeStats), FlowError> {
+    let _flow_span = bmbe_obs::span!("flow.run", "flow");
+    bmbe_obs::annotate_str!("job.design", design.netlist.name());
+    let part = Partitioned::new(design, options)?;
+    let components = &part.ctrl.components;
+    let keyed: Vec<KeyedProgram> = {
+        let _s = bmbe_obs::span!("flow.key", "flow");
+        components
+            .iter()
+            .map(|c| options.keyed(&c.program))
+            .collect()
+    };
+    // Each distinct shape, by the index of the first component needing it.
+    let mut seen = HashSet::new();
+    let first: Vec<usize> = (0..keyed.len())
+        .filter(|&i| seen.insert(&keyed[i].key))
         .collect();
-    let mut shapes: HashMap<&CacheKey, Arc<SynthArtifact>> = HashMap::new();
-    let (mut hits, mut synthesized, mut shared) = (0usize, 0usize, 0usize);
+    let shapes: Vec<&KeyedProgram> = first.iter().map(|&i| &keyed[i]).collect();
+    let resolved = registry
+        .resolve(&shapes, options, inner)
+        .map_err(|(j, e)| {
+            let i = first[j];
+            Arc::unwrap_or_clone(e).into_flow(
+                design.netlist.name(),
+                &components[i].name,
+                &keyed[i].key,
+            )
+        })?;
+    let mut stats = ShapeStats {
+        distinct: shapes.len(),
+        ..ShapeStats::default()
+    };
     let mut phases = PhaseProfile::default();
-    for (comp, k) in ctrl.components.iter().zip(&keyed) {
-        if shapes.contains_key(&k.key) {
-            continue;
-        }
-        match registry.resolve(k, options, inner) {
-            Ok((artifact, resolution)) => {
-                match resolution {
-                    Resolution::Hit => hits += 1,
-                    Resolution::Synthesized => {
-                        // Owners alone account the synthesis time, mirroring
-                        // the pipeline's "cache hits contribute nothing".
-                        phases.accumulate(&artifact.profile);
-                        synthesized += 1;
-                    }
-                    Resolution::Shared => shared += 1,
-                }
-                shapes.insert(&k.key, artifact);
+    let mut artifacts: HashMap<&CacheKey, Arc<SynthArtifact>> = HashMap::new();
+    for (k, (artifact, resolution)) in shapes.iter().zip(resolved) {
+        match resolution {
+            Resolution::Hit => stats.hits += 1,
+            Resolution::Synthesized => {
+                // Owners alone account the synthesis time: cache hits and
+                // shared flights contribute nothing.
+                phases.accumulate(&artifact.profile);
+                stats.synthesized += 1;
             }
-            Err(e) => {
-                return Err(JobFailure {
-                    label: label.to_string(),
-                    design: design_name,
-                    component: comp.name.clone(),
-                    cache_key: format!("{:016x}", k.key.digest()),
-                    phase: e.phase(),
-                    error: e.to_string(),
-                })
-            }
+            Resolution::Shared => stats.shared += 1,
         }
+        artifacts.insert(&k.key, artifact);
     }
-    registry.cache.record(hits + shared, synthesized);
-
-    let controllers: Vec<ControllerArtifact> = ctrl
-        .components
+    let controllers: Vec<ControllerArtifact> = components
         .iter()
         .zip(&keyed)
         .map(|(comp, k)| {
-            let template = templates.get(&comp.name).copied();
-            instantiate(&shapes[&k.key], k, &comp.name, &comp.program, template)
+            let template = part.template(&comp.name);
+            instantiate(&artifacts[&k.key], k, &comp.name, &comp.program, template)
         })
         .collect();
-    let control_area = controllers.iter().map(ControllerArtifact::area).sum();
-    let flow = FlowResult {
-        design: design_name,
-        components_before,
-        controllers,
-        cluster_report,
-        control_area,
-        cache_hits: hits + shared,
-        cache_misses: synthesized,
-        threads_used: inner,
-        phases,
-    };
-    Ok((
-        flow,
-        ShapeStats {
-            distinct: shapes.len(),
-            hits,
-            synthesized,
-            shared,
-        },
-    ))
+    registry
+        .cache
+        .record(controllers.len() - stats.synthesized, stats.synthesized);
+    let flow = part.finish(design, controllers, stats.synthesized, inner, phases);
+    Ok((flow, stats))
 }
 
 /// Runs a batch of design jobs over a shared cache, sharding distinct

@@ -163,7 +163,7 @@ impl KeyedProgram {
 /// A stage failure for one controller shape. Unlike
 /// [`crate::pipeline::FlowError`] it carries no component name: the same
 /// shape error applies to every instance of the shape.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ShapeError {
     /// CH-to-BMS compilation (or state minimization) failed.
     Compile(CompileError),

@@ -1,10 +1,13 @@
 //! Deterministic fault injection for the flow's recovery paths.
 //!
-//! A [`FaultPlan`] names one synthesis job (by its deterministic fan-out
-//! index) and one per-shape phase, and forces either a worker panic or a
-//! typed error exactly there. Because the target is the job *index* — not
-//! a dynamic "nth job to start" counter — the same plan fires at the same
-//! job whatever the worker-thread count, which is what lets the
+//! A [`FaultPlan`] names one synthesis job and one per-shape phase, and
+//! forces either a worker panic or a typed error exactly there. The job is
+//! the `nth` shape *claim* in component order: a cached run claims each
+//! distinct cache miss once (counted per call for a single design,
+//! fleet-wide in a batch), the uncached reference path claims every
+//! component. Because shapes are claimed in component order and threads
+//! are spent inside each shape, the same plan fires at the same job
+//! whatever the worker-thread count, which is what lets the
 //! fault-injection tests assert that 1-thread and 4-thread runs report the
 //! identical failure.
 //!
@@ -36,7 +39,7 @@ pub enum FaultPhase {
     SimCompile,
     /// Disk-cache I/O (`crate::cache::disk::DiskCache`). Unlike the other
     /// phases, `nth` counts *disk operations* on one cache handle (reads
-    /// and writes share the counter), not fan-out job indices — there is
+    /// and writes share the counter), not shape claims — there is
     /// no deterministic job order across the I/O a persistent cache sees.
     CacheIo,
 }
@@ -90,13 +93,12 @@ pub enum FaultKind {
 }
 
 /// A deterministic fault: force `kind` at the start of `phase` in
-/// synthesis job number `nth` (the job's index in the flow's fan-out
-/// order).
+/// synthesis job number `nth` (the job's index in claim order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The targeted per-shape phase.
     pub phase: FaultPhase,
-    /// The targeted job index within the flow run's synthesis fan-out.
+    /// The targeted job index, in claim order.
     pub nth: usize,
     /// Panic or typed error.
     pub kind: FaultKind,
@@ -173,7 +175,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan targets fan-out job `index`.
+    /// Whether this plan targets job `index` (in claim order).
     pub fn targets_job(&self, index: usize) -> bool {
         self.nth == index
     }

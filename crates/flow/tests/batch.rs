@@ -5,9 +5,12 @@
 
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_batch, run_control_flow_with, BatchJob, ControllerCache, FaultPlan, FlowOptions,
+    flow_through_registry, run_batch, run_control_flow_with, BatchJob, CacheStats, ControllerCache,
+    FaultPlan, FlowOptions, FlowResult, ShapeRegistry,
 };
 use bmbe_gates::Library;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 /// Obs counters are process-global; tests that assert counter deltas (or
@@ -154,4 +157,116 @@ fn shared_failures_are_not_retried() {
     assert_eq!(first.error, second.error, "waiter reports the owner's error");
     // The failing claim was the only synthesis attempt; nothing landed.
     assert_eq!(summary.synthesized, 0);
+}
+
+/// Per-controller digests over everything synthesis decides (covers, state
+/// codes, mapped cells, area and delays), leaving out wall-clock profiles.
+fn controller_digests(flow: &FlowResult) -> Vec<(String, u64)> {
+    flow.controllers
+        .iter()
+        .map(|c| {
+            let mut h = DefaultHasher::new();
+            c.bm_states.hash(&mut h);
+            c.controller.inputs.hash(&mut h);
+            c.controller.outputs.hash(&mut h);
+            c.controller.num_state_bits.hash(&mut h);
+            format!("{:?}", c.controller.output_covers).hash(&mut h);
+            format!("{:?}", c.controller.next_state_covers).hash(&mut h);
+            format!("{:?}", c.controller.assignment).hash(&mut h);
+            format!("{:?}", c.mapped.gates).hash(&mut h);
+            c.area().to_bits().hash(&mut h);
+            c.critical_delay().to_bits().hash(&mut h);
+            (c.name.clone(), h.finish())
+        })
+        .collect()
+}
+
+/// One hit/miss accounting: a design run through `flow_through_registry`
+/// over a fresh registry and through `run_control_flow_with` over a fresh
+/// cache reports the same per-component hits and misses, records the same
+/// numbers in its cache, and yields digest-identical controllers.
+#[test]
+fn registry_and_pipeline_agree_on_accounting_and_artifacts() {
+    let _serial = lock();
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    let options = FlowOptions::optimized();
+    for design in &designs {
+        let pipeline_cache = ControllerCache::new();
+        let pipeline = run_control_flow_with(&design.compiled, &options, &library, &pipeline_cache)
+            .unwrap_or_else(|e| panic!("{} pipeline: {e}", design.name));
+        let registry_cache = ControllerCache::new();
+        let registry = ShapeRegistry::new(&registry_cache, &library);
+        let (through, _) =
+            flow_through_registry(design.name, &design.compiled, &options, &registry, 1)
+                .unwrap_or_else(|e| panic!("{} registry: {e}", design.name));
+        assert_eq!(
+            (through.cache_hits, through.cache_misses),
+            (pipeline.cache_hits, pipeline.cache_misses),
+            "{}: hits/misses through the registry vs the pipeline",
+            design.name
+        );
+        assert_eq!(
+            through.cache_hits + through.cache_misses,
+            through.controllers.len(),
+            "{}: accounting is per component",
+            design.name
+        );
+        assert_eq!(
+            registry_cache.stats(),
+            pipeline_cache.stats(),
+            "{}: numbers recorded in the cache",
+            design.name
+        );
+        assert_eq!(
+            controller_digests(&through),
+            controller_digests(&pipeline),
+            "{}: controller digests",
+            design.name
+        );
+    }
+}
+
+/// Per-component accounting over a shared registry: a second run of a
+/// design through the registry that synthesized its shapes synthesizes
+/// nothing and counts every component as a hit, in its result and in the
+/// numbers it records in the cache.
+#[test]
+fn second_flow_through_a_registry_is_all_hits() {
+    let _serial = lock();
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    let options = FlowOptions::optimized();
+    for design in &designs {
+        let cache = ControllerCache::new();
+        let registry = ShapeRegistry::new(&cache, &library);
+        let run = || {
+            flow_through_registry(design.name, &design.compiled, &options, &registry, 1)
+                .unwrap_or_else(|e| panic!("{}: {e}", design.name))
+        };
+        let (cold, cold_stats) = run();
+        let (warm, warm_stats) = run();
+        assert_eq!(cold.cache_misses, cold_stats.distinct, "{}", design.name);
+        assert_eq!(
+            (warm.cache_hits, warm.cache_misses),
+            (warm.controllers.len(), 0),
+            "{}: warm hits/misses",
+            design.name
+        );
+        assert_eq!(
+            (warm_stats.hits, warm_stats.synthesized, warm_stats.shared),
+            (warm_stats.distinct, 0, 0),
+            "{}: warm shape resolutions",
+            design.name
+        );
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: cold.cache_hits + warm.controllers.len(),
+                misses: cold.cache_misses,
+            },
+            "{}: numbers recorded in the cache",
+            design.name
+        );
+    }
 }

@@ -8,8 +8,8 @@
 use bmbe_core::balsa_to_ch::balsa_to_ch;
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_control_flow, run_control_flow_with, ControllerCache, FaultKind, FaultPhase, FaultPlan,
-    FlowError, FlowOptions, KeyedProgram, ShapeError,
+    run_batch, run_control_flow, run_control_flow_with, BatchJob, ControllerCache, FaultKind,
+    FaultPhase, FaultPlan, FlowError, FlowOptions, KeyedProgram, ShapeError,
 };
 use bmbe_gates::Library;
 
@@ -202,6 +202,108 @@ fn thread_count_does_not_change_the_failing_job() {
             assert_eq!((d1, c1, k1, p1), (d4, c4, k4, p4), "{fault_phase:?}/{kind:?}: 1-thread and 4-thread runs must report the identical failing job");
         }
     }
+}
+
+/// One fault-targeting rule: `synth:<nth>:err` hits the `nth` shape claim
+/// in component order — the first component of the `nth` distinct shape —
+/// so a single-design run at 1 or 4 threads and a batch of that one job
+/// fail the same component with the same cache key.
+#[test]
+fn fault_targets_the_same_claim_on_every_flow_path() {
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    for design in &designs {
+        let mut distinct: Vec<(String, String)> = Vec::new();
+        for (component, key) in component_keys(design, &FlowOptions::optimized()) {
+            if !distinct.iter().any(|(_, k)| *k == key) {
+                distinct.push((component, key));
+            }
+        }
+        for nth in [0usize, 1] {
+            let options = faulted(FaultPhase::Synth, nth, FaultKind::Error);
+            let mut failures = Vec::new();
+            for threads in [1usize, 4] {
+                let options = FlowOptions {
+                    threads: Some(threads),
+                    ..options.clone()
+                };
+                let failure = run_control_flow_with(
+                    &design.compiled,
+                    &options,
+                    &library,
+                    &ControllerCache::new(),
+                )
+                .err()
+                .map(|err| {
+                    let (_, component, cache_key, _, _) = job_error(err);
+                    (component, cache_key)
+                });
+                failures.push((format!("{threads}-thread flow"), failure));
+            }
+            let mut job = BatchJob::new(design.name, design.compiled.clone());
+            job.options = options.clone();
+            let summary = run_batch(&[job], &library, &ControllerCache::new(), 4);
+            let failure = summary.jobs[0]
+                .as_ref()
+                .err()
+                .map(|f| (f.component.clone(), f.cache_key.clone()));
+            failures.push(("batch".to_string(), failure));
+            let expected = distinct.get(nth).cloned();
+            for (path, failure) in &failures {
+                assert_eq!(
+                    failure, &expected,
+                    "{}/synth:{nth}:err: {path} must fail the first component of \
+                     distinct shape {nth}",
+                    design.name
+                );
+            }
+        }
+    }
+}
+
+/// In a batch, `nth` counts claims across the whole fleet: with one
+/// worker, a plan aimed just past the first job's distinct shapes leaves
+/// that job alone and fails the second job's first shape the fleet has not
+/// claimed yet.
+#[test]
+fn fault_count_is_fleet_wide_in_a_batch() {
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    let (first, second) = (&designs[0], &designs[3]);
+    let options = FlowOptions::optimized();
+    let mut claimed: Vec<String> = component_keys(first, &options)
+        .into_iter()
+        .map(|(_, key)| key)
+        .collect();
+    claimed.sort();
+    claimed.dedup();
+    let expected = component_keys(second, &options)
+        .into_iter()
+        .find(|(_, key)| !claimed.contains(key))
+        .expect("the second design needs a shape the first does not");
+    let jobs: Vec<BatchJob> = [first, second]
+        .iter()
+        .map(|d| {
+            let mut job = BatchJob::new(d.name, d.compiled.clone());
+            job.options = faulted(FaultPhase::Synth, claimed.len(), FaultKind::Error);
+            job
+        })
+        .collect();
+    let summary = run_batch(&jobs, &library, &ControllerCache::new(), 1);
+    assert!(
+        summary.jobs[0].is_ok(),
+        "{}: the fault is past its claims",
+        first.name
+    );
+    let failure = summary.jobs[1]
+        .as_ref()
+        .expect_err("the fleet's next claim fails");
+    assert_eq!(
+        (failure.component.clone(), failure.cache_key.clone()),
+        expected,
+        "{}: the first shape the fleet had not claimed",
+        second.name
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use bmbe_designs::all_designs;
 use bmbe_flow::{
-    run_batch, run_control_flow_with, BatchJob, ControllerCache, DiskCache, FaultPlan,
+    run_batch, run_control_flow_with, BatchJob, ControllerCache, DiskCache, FaultPlan, FlowError,
     FlowOptions,
 };
 use bmbe_gates::Library;
@@ -102,6 +102,64 @@ fn faulted_batch_job_dumps_failing_identity() {
     }
     // The fault injector's own breadcrumb made it into the event ring.
     assert!(dump.contains("fault.fired"), "fault breadcrumb recorded");
+}
+
+/// A failed single-design flow leaves a `flow-error` dump naming the same
+/// design, component, cache key, and phase as its typed error, on the
+/// cached path and on the uncached reference path alike.
+#[test]
+fn failed_flow_dumps_failing_identity() {
+    let _serial = lock();
+    let library = Library::cmos035();
+    let designs = all_designs().expect("shipped designs build");
+    let stack = designs
+        .iter()
+        .find(|d| d.name == "Stack")
+        .expect("Stack shipped");
+    for cache in [true, false] {
+        let scratch = Scratch::new(if cache {
+            "flow-cached"
+        } else {
+            "flow-uncached"
+        });
+        bmbe_obs::recorder::set_flight_out(Some(
+            scratch.0.join("flight.json").to_string_lossy().into_owned(),
+        ));
+        let mut options = FlowOptions::optimized();
+        options.cache = cache;
+        options.fault = Some(FaultPlan::parse("synth:0:err").expect("valid plan"));
+        let result =
+            run_control_flow_with(&stack.compiled, &options, &library, &ControllerCache::new());
+        bmbe_obs::recorder::set_flight_out(None);
+
+        let Some(FlowError::Job {
+            design,
+            component,
+            cache_key,
+            phase,
+            ..
+        }) = result.err()
+        else {
+            panic!("cache={cache}: the injected fault must fail the flow with a job error");
+        };
+        let dumps = dumps_in(&scratch.0);
+        let dump = dumps
+            .iter()
+            .find(|d| d.contains("\"reason\": \"flow-error\""))
+            .unwrap_or_else(|| panic!("cache={cache}: flow-error dump present"));
+        validate_json(dump).expect("dump is valid JSON");
+        for (key, value) in [
+            ("design", design.as_str()),
+            ("component", component.as_str()),
+            ("cache_key", cache_key.as_str()),
+            ("phase", phase),
+        ] {
+            assert!(
+                dump.contains(&format!("\"{key}\": \"{value}\"")),
+                "cache={cache}: dump names the failing {key} ({value}): {dump}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -66,11 +66,12 @@ fn warm_cache_full_flow_stays_within_wall_clock_bound() {
 
 /// The cached cold flow on a 2-shape design with no dedup (the clustered
 /// Stack) must stay within noise of the serial uncached flow: its misses
-/// run inline (see `fanout_budget` — one long pole means no fan-out), so
-/// the only extra work is keying and instantiation, which is microseconds
-/// against a multi-millisecond flow. The generous margin absorbs loaded-CI
-/// noise; what this pins is the *absence* of a fan-out or bookkeeping
-/// penalty on small designs (the BENCH_flow.json Stack regression).
+/// are resolved one after another on the calling thread, so the only
+/// extra work is keying, registry lookups and instantiation, which is
+/// microseconds against a multi-millisecond flow. The generous margin
+/// absorbs loaded-CI noise; what this pins is the *absence* of a fan-out
+/// or bookkeeping penalty on small designs (the BENCH_flow.json Stack
+/// regression).
 #[test]
 fn stack_cached_cold_flow_is_not_slower_than_serial() {
     let library = Library::cmos035();
