@@ -1,7 +1,6 @@
-//! Micro-benchmarks of the checking-side kernels: the event-wheel scheduler
-//! against the seed's binary-heap scheduler, both on raw queue traffic and
-//! on the full Microprocessor-core benchmark scenario; the bit-parallel
-//! compiled backend against the wheel on a 64-scenario batch (and the pure
+//! Micro-benchmarks of the checking-side kernels: the event engine on the
+//! full Microprocessor-core benchmark scenario; the bit-parallel compiled
+//! backend against the event engine on a 64-scenario batch (and the pure
 //! tape run with compilation hoisted out); plus on-the-fly against
 //! materialized ACR trace verification on the paper's
 //! decision-wait/sequencer obligation.
@@ -11,136 +10,14 @@ use bmbe_core::opt::{verify_acr, verify_acr_materialized};
 use bmbe_designs::scenarios::Design;
 use bmbe_designs::{all_designs, scenario_variants};
 use bmbe_flow::{
-    batch_input_ports, compile_sim, run_control_flow, simulate_scenarios, simulate_with,
+    batch_input_ports, compile_sim, run_control_flow, simulate, simulate_scenarios,
     to_flow_scenario, FlowOptions, FlowResult, Scenario, SimBackend,
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{EventWheel, SchedulerKind, LANES};
+use bmbe_sim::LANES;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
-
-/// Deterministic delta stream for the raw-queue benchmarks (splitmix64).
-fn deltas(n: usize) -> Vec<u64> {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            // Mostly near-future events with an occasional far outlier,
-            // mimicking gate delays plus environment timeouts.
-            if z % 50 == 0 {
-                60_000 + z % 200_000
-            } else {
-                z % 4_000
-            }
-        })
-        .collect()
-}
-
-fn bench_queues(c: &mut Criterion) {
-    const N: usize = 10_000;
-    let ds = deltas(N);
-    let mut g = c.benchmark_group("sim_kernels");
-    g.sample_size(20);
-    // Steady-state traffic: keep ~64 events in flight, push one, pop one.
-    g.bench_function("queue_wheel/steady_10k", |b| {
-        b.iter(|| {
-            let mut q = EventWheel::new();
-            let mut now = 0u64;
-            for (i, &d) in ds.iter().take(64).enumerate() {
-                q.push(now + d, i as u64, i as u32);
-            }
-            for (i, &d) in ds.iter().enumerate().skip(64) {
-                let (t, _, slot) = q.pop().expect("queue keeps 64 in flight");
-                now = t;
-                q.push(now + d, i as u64, slot);
-            }
-            while let Some(e) = q.pop() {
-                black_box(e);
-            }
-        })
-    });
-    g.bench_function("queue_heap/steady_10k", |b| {
-        b.iter(|| {
-            let mut q: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-            let mut now = 0u64;
-            for (i, &d) in ds.iter().take(64).enumerate() {
-                q.push(Reverse((now + d, i as u64, i as u32)));
-            }
-            for (i, &d) in ds.iter().enumerate().skip(64) {
-                let Reverse((t, _, slot)) = q.pop().expect("queue keeps 64 in flight");
-                now = t;
-                q.push(Reverse((now + d, i as u64, slot)));
-            }
-            while let Some(e) = q.pop() {
-                black_box(e);
-            }
-        })
-    });
-    g.finish();
-}
-
-/// A chain inverter for the engine-level ring benchmark.
-struct RingInv {
-    input: bmbe_sim::NodeId,
-    output: bmbe_sim::NodeId,
-    delay: u64,
-}
-
-impl bmbe_sim::Primitive for RingInv {
-    fn init(&mut self, ctx: &mut bmbe_sim::Ctx<'_>) {
-        let v = ctx.get(self.input);
-        ctx.set_after(self.output, !v, self.delay);
-    }
-    fn on_change(&mut self, ctx: &mut bmbe_sim::Ctx<'_>, _node: bmbe_sim::NodeId) {
-        let v = ctx.get(self.input);
-        ctx.set_after(self.output, !v, self.delay);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// Engine-only throughput: `rings` independent 2-inverter oscillators give
-/// a steady queue depth of `rings` with trivial primitives, isolating the
-/// scheduler + dispatch cost from controller/datapath evaluation.
-fn run_rings(kind: SchedulerKind, rings: usize, events: u64) -> u64 {
-    let mut sim = bmbe_sim::Sim::with_scheduler(kind);
-    for r in 0..rings {
-        let a = sim.node(&format!("a{r}"));
-        let b = sim.node(&format!("b{r}"));
-        // Co-prime-ish delays desynchronize the rings.
-        let d = 97 + (r as u64 % 61) * 13;
-        sim.add_prim(Box::new(RingInv { input: a, output: b, delay: d }), &[a]);
-        sim.add_prim(Box::new(RingInv { input: b, output: a, delay: d + 6 }), &[b]);
-    }
-    sim.init();
-    sim.run_until(|s| s.events_processed >= events, u64::MAX);
-    sim.events_processed
-}
-
-fn bench_engine_rings(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim_kernels");
-    g.sample_size(20);
-    for rings in [4usize, 256] {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let label = match kind {
-                SchedulerKind::Wheel => "rings_wheel",
-                _ => "rings_heap",
-            };
-            g.bench_function(format!("{label}/depth_{rings}"), |b| {
-                b.iter(|| black_box(run_rings(kind, rings, 40_000)))
-            });
-        }
-    }
-    g.finish();
-}
 
 /// The Microprocessor-core design with its optimized flow and scenario.
 fn micro_core() -> (Design, FlowResult, Scenario) {
@@ -161,26 +38,19 @@ fn bench_simulation(c: &mut Criterion) {
     let delays = Delays::default();
     let mut g = c.benchmark_group("sim_kernels");
     g.sample_size(20);
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        let label = match kind {
-            SchedulerKind::Wheel => "simulate_wheel",
-            _ => "simulate_heap",
-        };
-        g.bench_function(format!("{label}/{}", micro.name), |b| {
-            b.iter(|| {
-                let run = simulate_with(
-                    black_box(&micro.compiled),
-                    black_box(&flow),
-                    &scenario,
-                    &delays,
-                    kind,
-                )
-                .expect("simulates");
-                assert!(run.completed);
-                run
-            })
-        });
-    }
+    g.bench_function(format!("simulate/{}", micro.name), |b| {
+        b.iter(|| {
+            let run = simulate(
+                black_box(&micro.compiled),
+                black_box(&flow),
+                &scenario,
+                &delays,
+            )
+            .expect("simulates");
+            assert!(run.completed);
+            run
+        })
+    });
     g.finish();
 }
 
@@ -198,7 +68,7 @@ fn bench_compiled_lanes(c: &mut Criterion) {
         .collect();
     let mut g = c.benchmark_group("sim_kernels");
     g.sample_size(10);
-    for backend in [SimBackend::Compiled, SimBackend::EventWheel] {
+    for backend in [SimBackend::Compiled, SimBackend::Event] {
         g.bench_function(format!("batch64_{}/{}", backend.name(), micro.name), |b| {
             b.iter(|| {
                 let runs = simulate_scenarios(
@@ -259,8 +129,6 @@ fn bench_verification(c: &mut Criterion) {
 
 criterion_group!(
     kernels,
-    bench_queues,
-    bench_engine_rings,
     bench_simulation,
     bench_compiled_lanes,
     bench_verification

@@ -1,7 +1,7 @@
 //! Differential gauntlet report: generates a fixed-seed corpus slice and
-//! runs every design through all five oracle pairs (heap vs wheel,
-//! compiled vs wheel, on-the-fly vs materialized verification, serial vs
-//! parallel, faulted vs clean — see `bmbe_flow::gauntlet`), routed through
+//! runs every design through all four oracle pairs (compiled vs event
+//! engine, on-the-fly vs materialized verification, serial vs parallel,
+//! faulted vs clean — see `bmbe_flow::gauntlet`), routed through
 //! the shared controller cache (`BMBE_CACHE_DIR` honoured). Emits one JSON
 //! report (stdout + `BENCH_gauntlet.json`) with per-pair comparison counts
 //! and every finding's replay one-liner.
@@ -68,7 +68,7 @@ fn run() -> Result<bool, String> {
     }
     let json = format!(
         "{{\n  \"bench\": \"gauntlet\",\n  \"seed\": {},\n  \"designs\": {},\n  \
-         \"checks\": {{\"heap_vs_wheel\": {}, \"compiled_vs_wheel\": {}, \
+         \"checks\": {{\"compiled_vs_event\": {}, \
          \"otf_vs_materialized\": {}, \"serial_vs_parallel\": {}, \
          \"fault_vs_clean\": {}}},\n  \
          \"all_pairs_exercised\": {},\n  \"findings\": [{}],\n  \
@@ -76,8 +76,7 @@ fn run() -> Result<bool, String> {
          \"disk_cache\": {},\n  \"wall_s\": {:.6}\n}}\n",
         report.seed,
         report.designs,
-        report.checks.heap_vs_wheel,
-        report.checks.compiled_vs_wheel,
+        report.checks.compiled_vs_event,
         report.checks.otf_vs_materialized,
         report.checks.serial_vs_parallel,
         report.checks.fault_vs_clean,

@@ -1,7 +1,9 @@
-//! Checking-side performance report: times the event-wheel scheduler
-//! against the seed's binary-heap scheduler on every benchmark scenario
-//! (asserting identical simulated outcomes), compares on-the-fly against
-//! materialized ACR trace verification, and writes `BENCH_sim.json`.
+//! Checking-side performance report: times the event engine on every
+//! benchmark scenario (asserting that repeated runs simulate identical
+//! outcomes), times the compiled backend against the event engine on a
+//! 64-scenario batch per design (asserting per-lane parity), compares
+//! on-the-fly against materialized ACR trace verification, and writes
+//! `BENCH_sim.json`.
 //!
 //! Run with `--release`; the debug build is an order of magnitude slower.
 //!
@@ -14,80 +16,49 @@ use bmbe_core::components::{decision_wait, sequencer};
 use bmbe_core::opt::verify_acr_compared;
 use bmbe_designs::{all_designs, scenario_variants};
 use bmbe_flow::{
-    run_control_flow, simulate_scenarios, simulate_with, to_flow_scenario, FaultPlan, FlowOptions,
+    run_control_flow, simulate, simulate_scenarios, to_flow_scenario, FaultPlan, FlowOptions,
     FlowResult, Scenario, SimBackend, SimOutcome,
 };
 use bmbe_gates::Library;
 use bmbe_sim::prims::Delays;
-use bmbe_sim::{SchedulerKind, LANES};
+use bmbe_sim::LANES;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 const SAMPLES: usize = 9;
 /// Samples for the batched backend comparison (64 event runs per sample on
-/// the wheel side make each sample an order of magnitude heavier).
+/// the event side make each sample an order of magnitude heavier).
 const BATCH_SAMPLES: usize = 5;
 
-struct SchedNumbers {
-    wall_s: f64,
-    total_s: f64,
-    events_per_sec: f64,
-    peak_queue_depth: usize,
-}
-
+/// One design's event-engine timing: medians over `SAMPLES` runs.
 struct Row {
     design: String,
     events: u64,
-    wheel: SchedNumbers,
-    heap: SchedNumbers,
-    /// Run-loop events/sec of the pre-wheel engine, from
-    /// `BENCH_sim_baseline.json` (measured at the commit before this
-    /// change), when that file is present.
-    baseline_events_per_sec: Option<f64>,
+    /// Run-loop wall seconds.
+    wall_s: f64,
+    /// Build plus run wall seconds.
+    total_s: f64,
+    peak_queue_depth: usize,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.wheel.events_per_sec / self.heap.events_per_sec
-    }
-
-    /// Run-loop throughput gain over the pre-change engine.
-    fn speedup_vs_baseline(&self) -> Option<f64> {
-        Some(self.wheel.events_per_sec / self.baseline_events_per_sec?)
+    fn events_per_sec(&self) -> f64 {
+        self.events as f64 / self.wall_s
     }
 }
 
-/// Pulls `"field": <number>` out of `text` after position `from`.
-fn field_after(text: &str, from: usize, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads the pre-change engine's throughput for one design from
-/// `BENCH_sim_baseline.json`. Tolerant by construction: a missing file,
-/// design, or field simply yields `None`.
-fn baseline_events_per_sec(design: &str) -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_sim_baseline.json").ok()?;
-    let at = text.find(&format!("\"design\": \"{design}\""))?;
-    field_after(&text, at, "run_loop_events_per_sec")
-}
-
-/// Runs one scenario `SAMPLES` times per scheduler, interleaved so host
-/// drift lands on both equally, and keeps the median run-loop wall time.
+/// Runs one scenario `SAMPLES` times on the event engine and keeps the
+/// median run-loop and end-to-end wall times. Every run must reproduce the
+/// warm-up run's outcome exactly.
 fn measure(
     design: &bmbe_designs::scenarios::Design,
     flow: &FlowResult,
     scenario: &Scenario,
     delays: &Delays,
 ) -> Result<Row, String> {
-    let run_one = |kind: SchedulerKind| -> Result<(SimOutcome, f64), String> {
+    let run_one = || -> Result<(SimOutcome, f64), String> {
         let start = std::time::Instant::now();
-        let run = simulate_with(&design.compiled, flow, scenario, delays, kind)
+        let run = simulate(&design.compiled, flow, scenario, delays)
             .map_err(|e| format!("{} sim: {e}", design.name))?;
         let total_s = start.elapsed().as_secs_f64();
         if !run.completed {
@@ -95,44 +66,29 @@ fn measure(
         }
         Ok((run, total_s))
     };
-    // Warm-up, and the outcome-identity check the numbers depend on.
-    let (wheel_ref, _) = run_one(SchedulerKind::Wheel)?;
-    let (heap_ref, _) = run_one(SchedulerKind::Heap)?;
-    if !wheel_ref.same_result(&heap_ref) {
-        return Err(format!(
-            "{}: wheel and heap schedulers disagree",
-            design.name
-        ));
-    }
-    let mut walls = [Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES)];
-    let mut totals = [Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES)];
+    let (reference, _) = run_one()?;
+    let mut walls = Vec::with_capacity(SAMPLES);
+    let mut totals = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
-        for (i, kind) in [SchedulerKind::Wheel, SchedulerKind::Heap].into_iter().enumerate() {
-            let (run, total_s) = run_one(kind)?;
-            walls[i].push(run.stats.wall_s);
-            totals[i].push(total_s);
+        let (run, total_s) = run_one()?;
+        if !run.same_result(&reference) {
+            return Err(format!("{}: repeated event runs disagree", design.name));
         }
+        walls.push(run.stats.wall_s);
+        totals.push(total_s);
     }
-    for w in walls.iter_mut().chain(totals.iter_mut()) {
-        w.sort_by(f64::total_cmp);
-    }
-    let events = wheel_ref.events;
-    let numbers = |wall_s: f64, total_s: f64, reference: &SimOutcome| SchedNumbers {
-        wall_s,
-        total_s,
-        events_per_sec: events as f64 / wall_s,
-        peak_queue_depth: reference.stats.peak_queue_depth,
-    };
+    walls.sort_by(f64::total_cmp);
+    totals.sort_by(f64::total_cmp);
     Ok(Row {
         design: design.name.to_string(),
-        events,
-        wheel: numbers(walls[0][SAMPLES / 2], totals[0][SAMPLES / 2], &wheel_ref),
-        heap: numbers(walls[1][SAMPLES / 2], totals[1][SAMPLES / 2], &heap_ref),
-        baseline_events_per_sec: baseline_events_per_sec(design.name),
+        events: reference.events,
+        wall_s: walls[SAMPLES / 2],
+        total_s: totals[SAMPLES / 2],
+        peak_queue_depth: reference.stats.peak_queue_depth,
     })
 }
 
-/// One design's batched compiled-vs-wheel comparison: the same 64-scenario
+/// One design's batched compiled-vs-event comparison: the same 64-scenario
 /// batch end to end on each backend, single worker thread.
 struct BackendRow {
     design: String,
@@ -142,7 +98,7 @@ struct BackendRow {
     /// wall-time ratio on identical work.
     events: u64,
     compiled_wall_s: f64,
-    wheel_wall_s: f64,
+    event_wall_s: f64,
 }
 
 impl BackendRow {
@@ -150,17 +106,17 @@ impl BackendRow {
         self.events as f64 / self.compiled_wall_s
     }
 
-    fn wheel_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wheel_wall_s
+    fn event_events_per_sec(&self) -> f64 {
+        self.events as f64 / self.event_wall_s
     }
 
     fn speedup(&self) -> f64 {
-        self.wheel_wall_s / self.compiled_wall_s
+        self.event_wall_s / self.compiled_wall_s
     }
 }
 
 /// Runs the design's 64-variant scenario batch on the compiled backend and
-/// the event wheel, asserting per-lane behavioural parity with the oracle
+/// the event engine, asserting per-lane behavioural parity with the oracle
 /// before any timing, then keeps the median end-to-end wall of
 /// `BATCH_SAMPLES` interleaved runs per backend.
 fn measure_backends(
@@ -187,21 +143,21 @@ fn measure_backends(
     // Warm-up, and the per-lane parity assertion the numbers depend on:
     // every compiled lane must reproduce its event-oracle behaviour.
     let (compiled_ref, _) = run_batch(SimBackend::Compiled)?;
-    let (wheel_ref, _) = run_batch(SimBackend::EventWheel)?;
-    for (lane, (c, o)) in compiled_ref.iter().zip(&wheel_ref).enumerate() {
+    let (event_ref, _) = run_batch(SimBackend::Event)?;
+    for (lane, (c, o)) in compiled_ref.iter().zip(&event_ref).enumerate() {
         if !o.completed {
             return Err(format!("{}: oracle lane {lane} incomplete", design.name));
         }
         if !c.same_behaviour(o) {
             return Err(format!(
-                "{}: compiled lane {lane} diverged from the event-wheel oracle",
+                "{}: compiled lane {lane} diverged from the event-engine oracle",
                 design.name
             ));
         }
     }
     let mut walls = [Vec::with_capacity(BATCH_SAMPLES), Vec::with_capacity(BATCH_SAMPLES)];
     for _ in 0..BATCH_SAMPLES {
-        for (i, backend) in [SimBackend::Compiled, SimBackend::EventWheel]
+        for (i, backend) in [SimBackend::Compiled, SimBackend::Event]
             .into_iter()
             .enumerate()
         {
@@ -215,9 +171,9 @@ fn measure_backends(
     Ok(BackendRow {
         design: design.name.to_string(),
         lanes: scenarios.len(),
-        events: wheel_ref.iter().map(|o| o.events).sum(),
+        events: event_ref.iter().map(|o| o.events).sum(),
         compiled_wall_s: walls[0][BATCH_SAMPLES / 2],
-        wheel_wall_s: walls[1][BATCH_SAMPLES / 2],
+        event_wall_s: walls[1][BATCH_SAMPLES / 2],
     })
 }
 
@@ -282,37 +238,27 @@ fn run() -> Result<bool, String> {
     }
     let verify = verify_rows()?;
 
+    bmbe_obs::vlog!(1, "event engine (median of {SAMPLES} runs)");
     bmbe_obs::vlog!(
         1,
-        "sim perf (median of {SAMPLES} interleaved runs; run loop only)"
-    );
-    bmbe_obs::vlog!(
-        1,
-        "{:<22} {:>9} {:>12} {:>14} {:>12} {:>14} {:>8} {:>9}",
+        "{:<22} {:>9} {:>12} {:>14} {:>12} {:>6}",
         "design",
         "events",
-        "wheel s",
-        "wheel ev/s",
-        "heap s",
-        "heap ev/s",
-        "vs heap",
-        "vs seed"
+        "run s",
+        "run ev/s",
+        "total s",
+        "peak"
     );
     for r in &rows {
-        let vs_base = r
-            .speedup_vs_baseline()
-            .map_or_else(|| "-".to_string(), |s| format!("{s:.2}x"));
         bmbe_obs::vlog!(
             1,
-            "{:<22} {:>9} {:>12.6} {:>14.0} {:>12.6} {:>14.0} {:>7.2}x {:>9}",
+            "{:<22} {:>9} {:>12.6} {:>14.0} {:>12.6} {:>6}",
             r.design,
             r.events,
-            r.wheel.wall_s,
-            r.wheel.events_per_sec,
-            r.heap.wall_s,
-            r.heap.events_per_sec,
-            r.speedup(),
-            vs_base
+            r.wall_s,
+            r.events_per_sec(),
+            r.total_s,
+            r.peak_queue_depth
         );
     }
     bmbe_obs::vlog!(
@@ -327,9 +273,9 @@ fn run() -> Result<bool, String> {
         "events",
         "compiled s",
         "compiled ev/s",
-        "wheel s",
-        "wheel ev/s",
-        "vs wheel"
+        "event s",
+        "event ev/s",
+        "vs event"
     );
     for r in &backends {
         bmbe_obs::vlog!(
@@ -340,8 +286,8 @@ fn run() -> Result<bool, String> {
             r.events,
             r.compiled_wall_s,
             r.compiled_events_per_sec(),
-            r.wheel_wall_s,
-            r.wheel_events_per_sec(),
+            r.event_wall_s,
+            r.event_events_per_sec(),
             r.speedup()
         );
     }
@@ -360,52 +306,29 @@ fn run() -> Result<bool, String> {
     let mut json = String::from("{\n  \"bench\": \"sim_verify\",\n");
     let _ = writeln!(json, "  \"samples\": {SAMPLES},");
     json.push_str(
-        "  \"note\": \"events_per_sec_speedup compares the wheel against the in-tree heap \
-         oracle in the same build, run loop only; both sides share the controller transition \
-         memoization and hoisted done checks added alongside the wheel, and the shipped \
-         scenarios idle at queue depth 1-3 where a binary heap is nearly free, so this ratio \
-         sits near 1.0 (the sim_kernels ring benchmarks, which isolate the scheduler at \
-         steady depth 4/256, show the wheel 1.2-1.4x ahead). \
-         events_per_sec_speedup_vs_baseline is the headline before/after: run-loop \
-         throughput against the pre-change engine recorded in BENCH_sim_baseline.json \
-         (measured at the prior commit, run loop estimated by subtracting an \
-         empty-scenario call), capturing scheduler, free-listed action slots, \
-         memoization, and done-check hoisting together. The backends section times the \
-         same 64-scenario variant batch end to end (compile/build included) on one worker \
-         thread per backend; both events_per_sec figures divide the event-wheel oracle's \
-         aggregate event count so compiled_vs_wheel is a pure wall-time ratio on identical \
-         work. Per-lane behavioural parity between the compiled backend and the wheel \
-         oracle is asserted before any timing (a divergence fails this report), not \
-         sampled.\",\n",
+        "  \"note\": \"The designs section times each paper design's base scenario on \
+         the event engine: wall_s is the median run loop, total_s the median build plus \
+         run, and events_per_sec divides the event count by wall_s. The backends section \
+         times the same 64-scenario variant batch end to end (compile/build included) on \
+         one worker thread per backend; both events_per_sec figures divide the event \
+         engine's aggregate event count, so compiled_vs_event is a pure wall-time ratio \
+         on identical work. Per-lane behavioural parity between the compiled backend and \
+         the event engine is asserted before any timing (a divergence fails this report), \
+         not sampled.\",\n",
     );
     json.push_str("  \"designs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"design\": \"{}\", \"events\": {}, \
-             \"wheel\": {{\"wall_s\": {:.6}, \"total_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}, \
-             \"heap\": {{\"wall_s\": {:.6}, \"total_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}, \
-             \"events_per_sec_speedup\": {:.3}",
+            "    {{\"design\": \"{}\", \"events\": {}, \"wall_s\": {:.6}, \"total_s\": {:.6}, \
+             \"events_per_sec\": {:.0}, \"peak_queue_depth\": {}}}",
             r.design,
             r.events,
-            r.wheel.wall_s,
-            r.wheel.total_s,
-            r.wheel.events_per_sec,
-            r.wheel.peak_queue_depth,
-            r.heap.wall_s,
-            r.heap.total_s,
-            r.heap.events_per_sec,
-            r.heap.peak_queue_depth,
-            r.speedup()
+            r.wall_s,
+            r.total_s,
+            r.events_per_sec(),
+            r.peak_queue_depth
         );
-        if let (Some(base), Some(vs)) = (r.baseline_events_per_sec, r.speedup_vs_baseline()) {
-            let _ = write!(
-                json,
-                ", \"baseline_events_per_sec\": {base:.0}, \
-                 \"events_per_sec_speedup_vs_baseline\": {vs:.3}"
-            );
-        }
-        json.push_str("}");
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"backends\": [\n");
@@ -414,15 +337,15 @@ fn run() -> Result<bool, String> {
             json,
             "    {{\"design\": \"{}\", \"lanes\": {}, \"events\": {}, \
              \"compiled\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
-             \"wheel\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
-             \"compiled_vs_wheel\": {:.3}}}",
+             \"event\": {{\"wall_s\": {:.6}, \"events_per_sec\": {:.0}}}, \
+             \"compiled_vs_event\": {:.3}}}",
             r.design,
             r.lanes,
             r.events,
             r.compiled_wall_s,
             r.compiled_events_per_sec(),
-            r.wheel_wall_s,
-            r.wheel_events_per_sec(),
+            r.event_wall_s,
+            r.event_events_per_sec(),
             r.speedup()
         );
         json.push_str(if i + 1 < backends.len() { ",\n" } else { "\n" });

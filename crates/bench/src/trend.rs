@@ -8,10 +8,10 @@
 //!   of the design set, so *any* drift is a real behavioural change and
 //!   fails the gate.
 //! - **Ratio** — timing ratios (`speedup`, `auto_speedup_vs_exact`,
-//!   `compiled_vs_wheel`). Wall-clock ratios move with host load, so the
+//!   `compiled_vs_event`). Wall-clock ratios move with host load, so the
 //!   gate only fires on a collapse: the fresh value may not fall below
 //!   [`RATIO_FLOOR`] of the baseline. That is deliberately weaker than the
-//!   tier-1 script's own absolute thresholds (e.g. "compiled ≥ 5x wheel")
+//!   tier-1 script's own absolute thresholds (e.g. "compiled ≥ 5x event")
 //!   — the sentinel catches a ratio cratering *relative to what this repo
 //!   last recorded*, wherever the absolute bar happens to sit on the host.
 //!
@@ -62,7 +62,7 @@ pub const SIM_SPECS: &[Spec] = &[
     Spec { section: "designs", field: "events", policy: Policy::Exact },
     Spec { section: "backends", field: "lanes", policy: Policy::Exact },
     Spec { section: "backends", field: "events", policy: Policy::Exact },
-    Spec { section: "backends", field: "compiled_vs_wheel", policy: Policy::Ratio },
+    Spec { section: "backends", field: "compiled_vs_event", policy: Policy::Ratio },
 ];
 
 /// One gate violation: the metric, both values, and why it failed.
@@ -401,10 +401,10 @@ mod tests {
     fn sim_sections_gate_independently() {
         let sim = r#"{
   "designs": [
-    {"design": "A", "events": 60, "wheel": {"wall_s": 0.1}}
+    {"design": "A", "events": 60, "wall_s": 0.1}
   ],
   "backends": [
-    {"design": "A", "lanes": 64, "events": 3840, "compiled_vs_wheel": 8.0}
+    {"design": "A", "lanes": 64, "events": 3840, "compiled_vs_event": 8.0}
   ]
 }"#;
         assert!(compare(sim, sim, SIM_SPECS).pass());

@@ -2,7 +2,7 @@
 //! mini-Balsa program generator (ROADMAP item 4).
 //!
 //! Four paper benchmarks cannot exercise a production back-end: the cache,
-//! the batch driver, the calendar queue, and the compiled simulator need
+//! the batch driver, the event engine, and the compiled simulator need
 //! realistic *distributions* of shapes, not the same four digests. This
 //! module emits hundreds of distinct designs, every one as real mini-Balsa
 //! source that goes through [`bmbe_balsa::parse`] and

@@ -231,19 +231,24 @@ pub fn variants_of(base: &DesignScenario, n: usize, seed: u64) -> Vec<DesignScen
             // variant index): variant k's data is a pure function of the
             // pair, independent of how many ports earlier variants
             // randomized — so inserting a port or reordering variants
-            // never reshuffles every later variant's values.
+            // never reshuffles every later variant's values. Ports draw
+            // from the stream in name order, never in the map's
+            // per-process hash order.
             let mut rng =
                 seed ^ 0xd6e8_feb8_6659_fd93 ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut s = base.clone();
             if k > 0 {
-                for (port, values) in &mut s.input_values {
-                    // Command/selector scripts steer control flow; changing
-                    // them changes the handshake count the done condition
-                    // waits for, so only data ports vary (the scripts cycle,
-                    // so longer variants replay the same balanced commands).
-                    if port == "cmd" {
-                        continue;
-                    }
+                // Command/selector scripts steer control flow; changing
+                // them changes the handshake count the done condition
+                // waits for, so only data ports vary (the scripts cycle,
+                // so longer variants replay the same balanced commands).
+                let mut ports: Vec<_> = s
+                    .input_values
+                    .iter_mut()
+                    .filter(|(port, _)| *port != "cmd")
+                    .collect();
+                ports.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                for (_, values) in ports {
                     for v in values.iter_mut() {
                         *v = splitmix64(&mut rng) & 0xff;
                     }
@@ -366,6 +371,33 @@ mod tests {
         let long = variants_of(&stack.scenario, 64, 99);
         for k in 0..8 {
             assert_eq!(short[k].input_values, long[k].input_values, "variant {k}");
+        }
+    }
+
+    #[test]
+    fn variant_data_does_not_depend_on_port_map_order() {
+        // Several randomized ports share one stream per variant; which port
+        // gets which values must not follow a map's hash order, which
+        // differs between map instances and between processes.
+        let base = DesignScenario {
+            activation_cycles: 4,
+            input_values: ["a", "b", "c", "d", "cmd"]
+                .iter()
+                .map(|p| (p.to_string(), vec![1, 2, 3]))
+                .collect(),
+            memory_init: HashMap::new(),
+            done: ("activations".into(), String::new(), 4),
+            max_time: 1_000_000,
+            check: Check::None,
+        };
+        let reference = variants_of(&base, 4, 5);
+        for _ in 0..16 {
+            let mut rebuilt = base.clone();
+            rebuilt.input_values = base.input_values.clone().into_iter().collect();
+            let variants = variants_of(&rebuilt, 4, 5);
+            for (k, (v, r)) in variants.iter().zip(&reference).enumerate() {
+                assert_eq!(v.input_values, r.input_values, "variant {k}");
+            }
         }
     }
 

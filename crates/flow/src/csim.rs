@@ -1,7 +1,7 @@
 //! The bit-parallel compiled simulation backend for complete designs.
 //!
 //! [`compile_sim`] walks the same design structure as
-//! [`crate::simbuild::simulate_with`] — synthesized controllers, select
+//! [`crate::simbuild::simulate`] — synthesized controllers, select
 //! adapters, behavioural datapath components, and the scripted environment
 //! — but lowers it into a [`bmbe_sim::CompiledCircuit`]: controllers
 //! become levelized instruction tapes over their technology-mapped gates
@@ -20,7 +20,7 @@
 //! once up front, compiled outcomes are bit-identical at any thread count.
 //!
 //! The compiled backend is untimed. Differential tests assert
-//! [`SimOutcome::same_behaviour`] against the event-wheel oracle, which
+//! [`SimOutcome::same_behaviour`] against the event-engine oracle, which
 //! remains the timing/hazard reference.
 
 use crate::fault::{FaultPhase, FaultPlan};
@@ -462,13 +462,10 @@ impl CompiledSim {
                     .collect(),
                 stats: SimStats {
                     backend: SimBackend::Compiled,
-                    scheduler: SchedulerKind::default(),
                     lanes: n,
                     waves: r.waves,
                     peak_queue_depth: 0,
                     wall_s,
-                    far_heap_hits: 0,
-                    refits: 0,
                     events_per_s,
                 },
             })
@@ -489,9 +486,8 @@ pub fn batch_input_ports(scenarios: &[Scenario]) -> BTreeSet<String> {
 /// Simulates a scenario set on the chosen backend, returning one outcome
 /// per scenario, in order.
 ///
-/// [`SimBackend::EventWheel`] runs each scenario as an independent event
-/// simulation across `threads` workers (exactly [`simulate_all`] with the
-/// auto-picked scheduler). [`SimBackend::Compiled`] compiles the design
+/// [`SimBackend::Event`] runs each scenario as an independent event
+/// simulation across `threads` workers (exactly [`simulate_all`]). [`SimBackend::Compiled`] compiles the design
 /// once, packs the scenarios into [`LANES`]-wide batches, and fans the
 /// batches out across `threads` workers; results are bit-identical at any
 /// thread count. [`SimBackend::Auto`] compiles when the set has more than
@@ -513,14 +509,14 @@ pub fn simulate_scenarios(
         return Vec::new();
     }
     match backend.resolve(scenarios.len()) {
-        SimBackend::EventWheel | SimBackend::Auto => {
+        SimBackend::Event | SimBackend::Auto => {
             let jobs: Vec<SimJob<'_>> = scenarios
                 .iter()
                 .map(|scenario| SimJob {
                     design,
                     flow,
                     scenario,
-                    scheduler: SchedulerKind::Auto,
+                    scheduler: SchedulerKind::default(),
                 })
                 .collect();
             simulate_all(&jobs, delays, threads)

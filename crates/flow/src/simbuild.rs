@@ -63,16 +63,13 @@ impl Scenario {
     }
 }
 
-/// Scheduler-side statistics of one simulation run — diagnostics, excluded
+/// Backend-side statistics of one simulation run — diagnostics, excluded
 /// from [`SimOutcome::same_result`] (wall time varies run to run; the
 /// simulated behaviour must not).
 #[derive(Debug, Clone)]
 pub struct SimStats {
     /// The backend the run used.
     pub backend: SimBackend,
-    /// The scheduler the run used (meaningful only on the event backend;
-    /// the compiled backend has no event queue).
-    pub scheduler: SchedulerKind,
     /// Scenario lanes sharing the run (1 on the event backend, up to 64 on
     /// the compiled backend — every outcome of a batch reports the batch's
     /// lane count and wall time).
@@ -84,11 +81,6 @@ pub struct SimStats {
     pub peak_queue_depth: usize,
     /// Host wall-clock seconds spent inside the event loop.
     pub wall_s: f64,
-    /// Events that overflowed the wheel horizon into the far heap (zero on
-    /// the heap oracle).
-    pub far_heap_hits: u64,
-    /// Wheel rebases (bucket-width refits; zero on the heap oracle).
-    pub refits: u64,
     /// Processed events per host wall-clock second.
     pub events_per_s: f64,
 }
@@ -108,15 +100,15 @@ pub struct SimOutcome {
     pub sync_counts: HashMap<String, usize>,
     /// Final memory contents by memory name.
     pub memories: HashMap<String, Vec<u64>>,
-    /// Scheduler statistics (not part of the simulated behaviour).
+    /// Backend statistics (not part of the simulated behaviour).
     pub stats: SimStats,
 }
 
 impl SimOutcome {
     /// Whether two runs simulated identical behaviour: same completion,
     /// simulated time, event count, port data, and memory contents. Stats
-    /// (wall time, queue depth, scheduler) are ignored — this is the
-    /// equality the wheel-vs-heap differential checks assert.
+    /// (wall time, queue depth) are ignored — this is the equality
+    /// repeated event runs of one scenario must meet.
     pub fn same_result(&self, other: &SimOutcome) -> bool {
         self.completed == other.completed
             && self.time_ns == other.time_ns
@@ -216,12 +208,13 @@ pub struct SimJob<'a> {
     pub flow: &'a FlowResult,
     /// The scenario to run.
     pub scenario: &'a Scenario,
-    /// The scheduler to run it on.
+    /// The scheduler to run it on (there is only one; see
+    /// [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
 }
 
 /// Runs independent simulation scenarios across worker threads; results
-/// come back in job order, each identical to a serial [`simulate_with`]
+/// come back in job order, each identical to a serial [`simulate`]
 /// call (simulations share nothing, so parallelism cannot change them).
 pub fn simulate_all(
     jobs: &[SimJob<'_>],
@@ -232,15 +225,15 @@ pub fn simulate_all(
         jobs,
         threads,
         |i, job| format!("sim job {i} ({})", job.design.netlist.name()),
-        |_, job| simulate_with(job.design, job.flow, job.scenario, delays, job.scheduler),
+        |_, job| simulate(job.design, job.flow, job.scenario, delays),
     )
     .into_iter()
     .map(|slot| slot.unwrap_or_else(|job| Err(SimBuildError::Panic(job.payload))))
     .collect()
 }
 
-/// Simulates a design with its synthesized controllers, on the production
-/// event-wheel scheduler.
+/// Simulates a design with its synthesized controllers on the event
+/// engine.
 ///
 /// # Errors
 ///
@@ -251,29 +244,9 @@ pub fn simulate(
     scenario: &Scenario,
     delays: &Delays,
 ) -> Result<SimOutcome, SimBuildError> {
-    simulate_with(design, flow, scenario, delays, SchedulerKind::default())
-}
-
-/// Simulates a design on a chosen scheduler. [`SchedulerKind::Heap`] is the
-/// seed engine, kept for before/after benchmarks and the differential
-/// tests; both schedulers produce [`SimOutcome::same_result`] outcomes.
-///
-/// # Errors
-///
-/// See [`SimBuildError`].
-pub fn simulate_with(
-    design: &CompiledDesign,
-    flow: &FlowResult,
-    scenario: &Scenario,
-    delays: &Delays,
-    scheduler: SchedulerKind,
-) -> Result<SimOutcome, SimBuildError> {
     let _sim_span = bmbe_obs::span!("sim.build", "sim");
     let netlist = &design.netlist;
-    // `Auto` picks the scheduler by design size (handshake components plus
-    // synthesized controllers ~ primitive count).
-    let scheduler = scheduler.resolve(flow.controllers.len() + netlist.components().len());
-    let mut sim = Sim::with_scheduler(scheduler);
+    let mut sim = Sim::new();
     let mut table = ChannelTable {
         chans: HashMap::new(),
     };
@@ -613,8 +586,6 @@ pub fn simulate_with(
         0.0
     };
     bmbe_obs::trace_counter!("sim.events", sim.events_processed);
-    bmbe_obs::trace_counter!("sim.far_heap_hits", sim.far_heap_hits());
-    bmbe_obs::trace_counter!("sim.refits", sim.refit_count());
     bmbe_obs::gauge!("sim.events_per_s").set(events_per_s as i64);
     let outputs: HashMap<String, Vec<u64>> = out_env
         .iter()
@@ -657,15 +628,29 @@ pub fn simulate_with(
         sync_counts,
         memories,
         stats: SimStats {
-            backend: SimBackend::EventWheel,
-            scheduler,
+            backend: SimBackend::Event,
             lanes: 1,
             waves: 0,
             peak_queue_depth: sim.peak_queue_depth(),
             wall_s,
-            far_heap_hits: sim.far_heap_hits(),
-            refits: sim.refit_count(),
             events_per_s,
         },
     })
+}
+
+/// [`simulate`] with the scheduler named. [`SchedulerKind`] has a single
+/// variant, so every call runs the same engine; the parameter exists so
+/// that callers written against a choice of schedulers keep compiling.
+///
+/// # Errors
+///
+/// See [`SimBuildError`].
+pub fn simulate_with(
+    design: &CompiledDesign,
+    flow: &FlowResult,
+    scenario: &Scenario,
+    delays: &Delays,
+    _scheduler: SchedulerKind,
+) -> Result<SimOutcome, SimBuildError> {
+    simulate(design, flow, scenario, delays)
 }

@@ -56,7 +56,7 @@ fn compiled_matches_event_oracle_on_all_designs() {
             &flow,
             &scenarios,
             &delays,
-            SimBackend::EventWheel,
+            SimBackend::Event,
             4,
             None,
         );
@@ -118,7 +118,7 @@ fn partial_batches_match_the_oracle() {
         &flow,
         &scenarios,
         &delays,
-        SimBackend::EventWheel,
+        SimBackend::Event,
         2,
         None,
     );
@@ -244,7 +244,7 @@ fn auto_backend_dispatches_by_batch_size() {
         None,
     );
     let o = r[0].as_ref().expect("single scenario");
-    assert_eq!(o.stats.backend, SimBackend::EventWheel);
+    assert_eq!(o.stats.backend, SimBackend::Event);
     assert!(o.time_ns > 0.0, "event runs are timed");
     let three = variants(counter, 3, 1);
     let r = simulate_scenarios(
@@ -327,7 +327,7 @@ fn sim_compile_fault_surfaces_as_typed_error() {
         &flow,
         &scenarios,
         &delays,
-        SimBackend::EventWheel,
+        SimBackend::Event,
         2,
         Some(&plan),
     );

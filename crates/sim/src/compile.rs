@@ -21,9 +21,9 @@
 //! `Ctx::write_slot`.
 //!
 //! The backend is untimed: per-scenario *behaviour* (completion, port
-//! traffic, memory contents) matches the event-wheel oracle — asserted by
+//! traffic, memory contents) matches the event-engine oracle — asserted by
 //! the differential property tests — while `time_ns` does not exist here.
-//! The event wheel remains the timing/hazard oracle.
+//! The event engine remains the timing/hazard oracle.
 //!
 //! Lanes complete independently: when a lane's done condition first holds
 //! at the end of a wave, the lane is removed from the live mask and its
@@ -44,9 +44,8 @@ pub const LANES: usize = 64;
 /// Which simulation backend runs a scenario set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
-    /// The event-driven engine (wheel or heap scheduler) — the timing and
-    /// hazard oracle.
-    EventWheel,
+    /// The event-driven engine — the timing and hazard oracle.
+    Event,
     /// The bit-parallel compiled engine: 64 scenarios per lane word.
     Compiled,
     /// Compiled for batches of more than one scenario, the event engine
@@ -60,7 +59,7 @@ impl SimBackend {
     pub fn resolve(self, scenarios: usize) -> SimBackend {
         match self {
             SimBackend::Auto if scenarios > 1 => SimBackend::Compiled,
-            SimBackend::Auto => SimBackend::EventWheel,
+            SimBackend::Auto => SimBackend::Event,
             other => other,
         }
     }
@@ -68,7 +67,7 @@ impl SimBackend {
     /// The backend's report name.
     pub fn name(self) -> &'static str {
         match self {
-            SimBackend::EventWheel => "event_wheel",
+            SimBackend::Event => "event",
             SimBackend::Compiled => "compiled",
             SimBackend::Auto => "auto",
         }
@@ -1557,9 +1556,9 @@ mod tests {
 
     #[test]
     fn backend_auto_resolves_by_batch_size() {
-        assert_eq!(SimBackend::Auto.resolve(1), SimBackend::EventWheel);
+        assert_eq!(SimBackend::Auto.resolve(1), SimBackend::Event);
         assert_eq!(SimBackend::Auto.resolve(2), SimBackend::Compiled);
         assert_eq!(SimBackend::Compiled.resolve(1), SimBackend::Compiled);
-        assert_eq!(SimBackend::EventWheel.resolve(64), SimBackend::EventWheel);
+        assert_eq!(SimBackend::Event.resolve(64), SimBackend::Event);
     }
 }

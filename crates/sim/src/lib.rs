@@ -18,10 +18,7 @@ pub use compile::{
     CCh, CPrim, CSite, CSlot, CWire, CircuitBuilder, CompileError, CompiledCircuit,
     ControllerTape, DoneSpec, GateSpec, LaneSpec, RunResult, RunSpec, SimBackend, TapeOp, LANES,
 };
-pub use engine::{
-    Ctx, EventWheel, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time,
-    AUTO_HEAP_MAX_PRIMS,
-};
+pub use engine::{Ctx, NodeId, PrimId, Primitive, SchedulerKind, Sim, SlotId, Time};
 pub use prims::{
     ActivationDriverEnv, BinFuncPrim, CallMuxPrim, ConstantPrim, ControllerPrim, DataCh, Delays,
     FetchDataPrim, MemSite, MemoryPrim, PullMuxPrim, PullProviderEnv, PushConsumerEnv,

@@ -19,8 +19,8 @@
 #      seed behaviour; its recorded cold baseline was 0.0804 s);
 #   7. sim perf smoke: in a fresh sim_report, the compiled backend's
 #      batched 64-scenario Microprocessor-core run must beat the event
-#      wheel's aggregate events/s by at least 5x (per-lane parity with
-#      the wheel oracle is asserted inside sim_report itself);
+#      engine's aggregate events/s by at least 5x (per-lane parity with
+#      the event oracle is asserted inside sim_report itself);
 #   8. batch + persistent cache: a batch_report fleet over a scratch
 #      BMBE_CACHE_DIR must emit pure-JSON stdout, synthesize each
 #      distinct shape exactly once, and a second *process* over the same
@@ -42,9 +42,9 @@
 #      pass or a parse error;
 #  12. differential gauntlet: a fixed-seed corpus slice of >= 200
 #      generated designs (parametric families + random mini-Balsa
-#      programs) must run clean through all five oracle pairs (heap vs
-#      wheel, compiled vs wheel, on-the-fly vs materialized
-#      verification, serial vs parallel, faulted vs clean), and an
+#      programs) must run clean through all four oracle pairs (compiled
+#      vs event, on-the-fly vs materialized verification, serial vs
+#      parallel, faulted vs clean), and an
 #      injected divergence must be caught and reported as a structured
 #      finding carrying its replay seed.
 set -eu
@@ -119,23 +119,23 @@ echo "tier1: Microprocessor cold prime_gen ${auto_s}s (default) vs ${exact_s}s (
 echo "== tier1: sim perf smoke (compiled backend) =="
 # Ratio gate on a fresh sim_report (same scratch directory): the compiled
 # backend's batched 64-scenario Microprocessor run must clear 5x the
-# event wheel's aggregate events/s. sim_report asserts per-lane parity
-# with the wheel oracle before timing, so this pass also re-proves the
+# event engine's aggregate events/s. sim_report asserts per-lane parity
+# with the event oracle before timing, so this pass also re-proves the
 # differential property on this host.
 (cd "$fault_dir" && cargo run --release \
     --manifest-path "$repo_root/Cargo.toml" \
     -p bmbe-bench --bin sim_report >/dev/null)
-micro_sim_line="$(grep '"compiled_vs_wheel"' "$fault_dir/BENCH_sim.json" \
+micro_sim_line="$(grep '"compiled_vs_event"' "$fault_dir/BENCH_sim.json" \
     | grep '"design": "Microprocessor')" || {
     echo "tier1: FAIL: no Microprocessor backends row in the fresh BENCH_sim.json" >&2
     exit 1
 }
-ratio="$(printf '%s' "$micro_sim_line" | sed 's/.*"compiled_vs_wheel": \([0-9.]*\).*/\1/')"
+ratio="$(printf '%s' "$micro_sim_line" | sed 's/.*"compiled_vs_event": \([0-9.]*\).*/\1/')"
 if ! awk -v r="$ratio" 'BEGIN { exit !(r >= 5) }'; then
-    echo "tier1: FAIL: Microprocessor batched compiled_vs_wheel ${ratio}x (< 5x)" >&2
+    echo "tier1: FAIL: Microprocessor batched compiled_vs_event ${ratio}x (< 5x)" >&2
     exit 1
 fi
-echo "tier1: Microprocessor batched compiled backend ${ratio}x the event wheel"
+echo "tier1: Microprocessor batched compiled backend ${ratio}x the event engine"
 # $fault_dir keeps its fresh BENCH_flow.json / BENCH_sim.json for the
 # bench_trend gate below.
 
@@ -253,7 +253,7 @@ echo "tier1: bench_trend reports an empty baseline as a structured no-baseline v
 rm -rf "$fault_dir" "$trace_dir"
 
 echo "== tier1: differential gauntlet (generated corpus) =="
-# A fixed-seed corpus slice through all five oracle pairs, routed through
+# A fixed-seed corpus slice through all four oracle pairs, routed through
 # a scratch disk cache (the realistic hit distribution ROADMAP item 3
 # asks for). The report must be clean: zero findings, every pair
 # exercised.
@@ -269,7 +269,7 @@ if ! grep -q '"designs": 200' "$gauntlet_json" \
     cat "$gauntlet_json" >&2
     exit 1
 fi
-echo "tier1: 200-design gauntlet clean across all five oracle pairs"
+echo "tier1: 200-design gauntlet clean across all four oracle pairs"
 # Injected-divergence smoke: a perturbed compiled outcome must be caught
 # by the real detection path and reported with its replay seed.
 if (cd "$gauntlet_dir" && cargo run --release \
@@ -278,7 +278,7 @@ if (cd "$gauntlet_dir" && cargo run --release \
     echo "tier1: FAIL: gauntlet_report passed with an injected divergence" >&2
     exit 1
 fi
-if ! grep -q '"oracle": "compiled_vs_wheel"' "$gauntlet_json" \
+if ! grep -q '"oracle": "compiled_vs_event"' "$gauntlet_json" \
     || ! grep -q '"replay": "bmbe gauntlet --seed 1 --designs 20 --only ' "$gauntlet_json" \
     || ! grep -q '"seed": [0-9]' "$gauntlet_json"; then
     echo "tier1: FAIL: injected divergence not reported with a replay seed:" >&2
