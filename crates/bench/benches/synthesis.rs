@@ -1,11 +1,19 @@
 //! Criterion micro-benchmarks of the synthesis algorithms: CH-to-BMS
 //! compilation, hazard-free minimization, state assignment, clustering,
 //! and technology mapping.
+//!
+//! The `*corpus*` benches run the CH-level kernels over a fixed slice of
+//! the generated corpus (the first 40 designs of seed 7), so a change to
+//! expansion, compilation, clustering or the §4.3 verifier can be measured
+//! on realistic programs without the end-to-end benchmark.
 
 use bmbe_bm::synth::{synthesize, MinimizeMode};
 use bmbe_core::compile::compile_to_bm;
 use bmbe_core::components::{call, decision_wait, sequencer};
 use bmbe_core::opt::cluster::{ClusterOptions, CtrlNetlist};
+use bmbe_core::opt::{activation_channel_removal, verify_acr};
+use bmbe_core::{balsa_to_ch, ChExpr};
+use bmbe_designs::{generate_corpus, CorpusSpec};
 use bmbe_gates::{map, Library, MapObjective, MapStyle, SubjectGraph};
 use bmbe_logic::Cover;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,6 +21,85 @@ use std::hint::black_box;
 
 fn names(n: usize, prefix: &str) -> Vec<String> {
     (0..n).map(|i| format!("{prefix}{i}")).collect()
+}
+
+/// The translated control netlists of the corpus slice.
+fn corpus_slice() -> Vec<CtrlNetlist> {
+    generate_corpus(&CorpusSpec {
+        seed: 7,
+        designs: 40,
+    })
+    .expect("corpus generates")
+    .iter()
+    .map(|d| balsa_to_ch(&d.compiled.netlist).expect("translates"))
+    .collect()
+}
+
+/// The merged programs the slice's first-round ACR attempts compile (one
+/// per internal channel whose merge passes the structural checks), plus
+/// every final clustered component.
+fn acr_trial_programs(slice: &[CtrlNetlist]) -> Vec<ChExpr> {
+    let mut out = Vec::new();
+    for ctrl in slice {
+        for ch in ctrl.internal_channels() {
+            let merged = activation_channel_removal(
+                &ctrl.components[ch.active].program,
+                &ctrl.components[ch.passive].program,
+                &ch.name,
+                None,
+            );
+            out.extend(merged.ok());
+        }
+        let mut clustered = ctrl.clone();
+        clustered.t2_clustering(&ClusterOptions::default());
+        out.extend(clustered.components.into_iter().map(|c| c.program));
+    }
+    out
+}
+
+fn bench_corpus_kernels(c: &mut Criterion) {
+    let slice = corpus_slice();
+    let trials = acr_trial_programs(&slice);
+    let mut g = c.benchmark_group("clustering");
+    g.sample_size(10);
+    g.bench_function("t2_corpus_slice", |b| {
+        b.iter(|| {
+            for ctrl in &slice {
+                let mut n = ctrl.clone();
+                black_box(n.t2_clustering(&ClusterOptions::default()));
+            }
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("ch_to_bms");
+    g.sample_size(10);
+    g.bench_function("corpus_acr_trials", |b| {
+        b.iter(|| {
+            for p in &trials {
+                black_box(compile_to_bm("merged", p).expect("trial programs compile"));
+            }
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("verify_acr");
+    g.sample_size(10);
+    g.bench_function("corpus_slice", |b| {
+        b.iter(|| {
+            for ctrl in &slice {
+                for ch in ctrl.internal_channels().into_iter().take(2) {
+                    black_box(
+                        verify_acr(
+                            &ctrl.components[ch.active].program,
+                            &ctrl.components[ch.passive].program,
+                            &ch.name,
+                        )
+                        .expect("verifier runs"),
+                    );
+                }
+            }
+        })
+    });
+    g.finish();
 }
 
 fn bench_compile(c: &mut Criterion) {
@@ -95,6 +182,7 @@ criterion_group!(
     bench_compile,
     bench_synthesis,
     bench_clustering,
+    bench_corpus_kernels,
     bench_techmap
 );
 criterion_main!(benches);

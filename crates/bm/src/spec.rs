@@ -273,7 +273,8 @@ impl BmSpec {
     ///
     /// Checks: burst directions, non-empty input bursts, the maximal set
     /// property, polarity (each edge toggles its signal), consistent entry
-    /// values, and reachability.
+    /// values, and reachability. Where several states violate the maximal
+    /// set property, the lowest-numbered one is reported.
     ///
     /// # Errors
     ///
@@ -282,8 +283,20 @@ impl BmSpec {
         if self.signals.len() > 64 {
             return Err(BmError::TooManySignals);
         }
-        let input_ix = self.input_index_map();
-        let output_ix = self.output_index_map();
+        // Each signal's bit in the entry vector of its direction.
+        let (mut inputs, mut outputs) = (0, 0);
+        let bit: Vec<u64> = self
+            .signals
+            .iter()
+            .map(|s| {
+                let pos = match s.dir {
+                    SignalDir::Input => &mut inputs,
+                    SignalDir::Output => &mut outputs,
+                };
+                *pos += 1;
+                1u64 << (*pos - 1)
+            })
+            .collect();
         // Direction / emptiness checks.
         for (ai, arc) in self.arcs.iter().enumerate() {
             if arc.inputs.is_empty() {
@@ -306,12 +319,25 @@ impl BmSpec {
                 }
             }
         }
-        // Maximal set property per state.
-        let mut by_state: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (ai, arc) in self.arcs.iter().enumerate() {
-            by_state.entry(arc.from).or_default().push(ai);
+        // Arc indices grouped by source state, in arc order: the arcs of
+        // state `s` are `by_state[first[s]..first[s + 1]]`.
+        let mut first = vec![0usize; self.num_states + 1];
+        for arc in &self.arcs {
+            first[arc.from + 1] += 1;
         }
-        for (&state, arcs) in &by_state {
+        for s in 0..self.num_states {
+            first[s + 1] += first[s];
+        }
+        let mut fill = first.clone();
+        let mut by_state = vec![0usize; self.arcs.len()];
+        for (ai, arc) in self.arcs.iter().enumerate() {
+            by_state[fill[arc.from]] = ai;
+            fill[arc.from] += 1;
+        }
+        let arcs_of = |s: usize| &by_state[first[s]..first[s + 1]];
+        // Maximal set property per state, checked in state order.
+        for state in 0..self.num_states {
+            let arcs = arcs_of(state);
             for (i, &a) in arcs.iter().enumerate() {
                 for &b in &arcs[i + 1..] {
                     let ia = &self.arcs[a].inputs;
@@ -344,11 +370,11 @@ impl BmSpec {
         while let Some(s) = queue.pop_front() {
             let in_vec = entry_in[s].expect("queued states have vectors");
             let out_vec = entry_out[s].expect("queued states have vectors");
-            for &ai in by_state.get(&s).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &ai in arcs_of(s) {
                 let arc = &self.arcs[ai];
                 let mut new_in = in_vec;
                 for e in &arc.inputs {
-                    let bit = 1u64 << input_ix[&e.signal];
+                    let bit = bit[e.signal];
                     let cur = new_in & bit != 0;
                     if cur == e.rising {
                         return Err(BmError::PolarityError {
@@ -360,7 +386,7 @@ impl BmSpec {
                 }
                 let mut new_out = out_vec;
                 for e in &arc.outputs {
-                    let bit = 1u64 << output_ix[&e.signal];
+                    let bit = bit[e.signal];
                     let cur = new_out & bit != 0;
                     if cur == e.rising {
                         return Err(BmError::PolarityError {

@@ -243,38 +243,40 @@ impl ChExpr {
     /// Multiple mentions of the same name must agree (call fragments share
     /// their active channel).
     pub fn channels(&self) -> BTreeMap<String, ChActivity> {
-        let mut map = BTreeMap::new();
-        self.collect_channels(&mut map);
-        map
+        let mut mentions = Vec::new();
+        self.channel_mentions(&mut mentions);
+        mentions
+            .into_iter()
+            .map(|(name, act)| (name.to_string(), act))
+            .collect()
     }
 
-    fn collect_channels(&self, map: &mut BTreeMap<String, ChActivity>) {
+    /// Appends every channel mention, in program order, as borrowed
+    /// `(name, activity)` pairs; a later mention of a name overrides an
+    /// earlier one in [`channels`](Self::channels).
+    pub fn channel_mentions<'a>(&'a self, out: &mut Vec<(&'a str, ChActivity)>) {
         match self {
             ChExpr::PToP { activity, name }
             | ChExpr::MultAck { activity, name, .. }
-            | ChExpr::MultReq { activity, name, .. } => {
-                map.insert(name.clone(), *activity);
-            }
+            | ChExpr::MultReq { activity, name, .. } => out.push((name, *activity)),
             ChExpr::MuxAck { name, arms } => {
-                map.insert(name.clone(), ChActivity::Active);
+                out.push((name, ChActivity::Active));
                 for (_, e) in arms {
-                    e.collect_channels(map);
+                    e.channel_mentions(out);
                 }
             }
             ChExpr::MuxReq { name, arms } => {
-                map.insert(name.clone(), ChActivity::Passive);
+                out.push((name, ChActivity::Passive));
                 for (_, e) in arms {
-                    e.collect_channels(map);
+                    e.channel_mentions(out);
                 }
             }
             ChExpr::Void | ChExpr::Break => {}
-            ChExpr::Verb { name, .. } => {
-                map.insert(name.clone(), self.activity());
-            }
-            ChExpr::Rep(e) => e.collect_channels(map),
+            ChExpr::Verb { name, .. } => out.push((name, self.activity())),
+            ChExpr::Rep(e) => e.channel_mentions(out),
             ChExpr::Op { a, b, .. } => {
-                a.collect_channels(map);
-                b.collect_channels(map);
+                a.channel_mentions(out);
+                b.channel_mentions(out);
             }
         }
     }

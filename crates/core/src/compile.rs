@@ -11,9 +11,8 @@
 //! return arcs).
 
 use crate::ast::ChExpr;
-use crate::expand::{expand, ExpandError, Io, Item};
+use crate::expand::{expand_linear, rest_after, ExpandError, Io, Item};
 use bmbe_bm::spec::{BmError, BmSpec, SignalDir};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised by CH-to-BMS compilation.
@@ -104,73 +103,122 @@ impl From<BmError> for CompileError {
 /// # }
 /// ```
 pub fn compile_to_bm(name: &str, expr: &ChExpr) -> Result<BmSpec, CompileError> {
-    let items = expand(expr)?.linearize();
-    compile_items(name, &items)
+    let (items, wires) = expand_linear(expr)?;
+    compile_items(name, &items, wires)
 }
 
-/// Compiles an already-linearized intermediate form.
+/// Compiles an already-linearized intermediate form whose transitions index
+/// the wire table `wires` (see [`Expansion::into_linear`]); the names of
+/// the wires the machine uses move into its signal table.
+///
+/// [`Expansion::into_linear`]: crate::expand::Expansion::into_linear
 ///
 /// # Errors
 ///
 /// See [`CompileError`].
-pub fn compile_items(name: &str, items: &[Item]) -> Result<BmSpec, CompileError> {
-    let mut b = Builder::new(name);
+pub fn compile_items(
+    name: &str,
+    items: &[Item],
+    wires: Vec<String>,
+) -> Result<BmSpec, CompileError> {
+    let mut b = Builder::new(wires, items.len());
     let start = b.fresh_state();
-    b.walk(
-        items,
-        Some(Cursor {
-            state: start,
-            pin: Vec::new(),
-            pout: Vec::new(),
-        }),
-    )?;
+    b.walk(&[items], Some(Cursor::at(start)))?;
     b.resolve_all()?;
-    b.finish(start)
+    b.finish(name, start)
 }
+
+/// A burst: `(spec signal, rising)` pairs in arrival order.
+type Burst = Vec<(usize, bool)>;
+
+/// Marks an absent index: a wire the walk has not met yet, an unused
+/// state, the end of an arc chain.
+const NONE: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
 struct Cursor {
     state: usize,
-    pin: Vec<(usize, bool)>,
-    pout: Vec<(usize, bool)>,
+    pin: Burst,
+    pout: Burst,
 }
 
-#[derive(Debug, Clone)]
+impl Cursor {
+    fn at(state: usize) -> Self {
+        Cursor {
+            state,
+            pin: Vec::new(),
+            pout: Vec::new(),
+        }
+    }
+
+    fn at_boundary(&self) -> bool {
+        self.pin.is_empty() && self.pout.is_empty()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum ToRef {
     State(usize),
     Label(usize),
 }
 
-#[derive(Debug, Clone)]
-enum Binding {
-    State(usize),
-    Continuation(Vec<Item>),
+/// An arc whose bursts live in [`Builder::bursts`]: the input burst is
+/// `bursts[at[0]..at[1]]`, the output burst `bursts[at[1]..at[2]]`.
+#[derive(Debug)]
+struct PendingArc {
+    from: usize,
+    to: ToRef,
+    at: [usize; 3],
 }
 
-struct Builder {
-    name: String,
-    signal_names: Vec<(String, SignalDir)>,
-    signal_ix: HashMap<String, usize>,
+impl PendingArc {
+    /// Whether both bursts are empty (a deferred state alias).
+    fn is_alias(&self) -> bool {
+        self.at[0] == self.at[2]
+    }
+}
+
+/// What a label stands for: a state, or the not-yet-compiled rest of the
+/// stream after it, kept as borrowed segments of the linear form.
+#[derive(Debug)]
+enum Binding<'e> {
+    State(usize),
+    Continuation(Vec<&'e [Item]>),
+}
+
+struct Builder<'e> {
+    wires: Vec<String>,
+    /// The spec signal of each wire, [`NONE`] until the walk meets it.
+    signal_of: Vec<usize>,
+    /// Spec signals in order of first use: `(wire, direction)`.
+    signals: Vec<(usize, SignalDir)>,
     num_states: usize,
-    arcs: Vec<(usize, ToRef, Vec<(usize, bool)>, Vec<(usize, bool)>)>,
-    labels: HashMap<usize, Binding>,
+    arcs: Vec<PendingArc>,
+    /// The bursts of every pending arc, back to back.
+    bursts: Burst,
+    /// Label bindings, indexed by label id.
+    labels: Vec<Option<Binding<'e>>>,
     /// Outputs that lead a label's continuation (a loop head that re-emits
-    /// a request); appended to every arc entering that label.
-    label_prefix: HashMap<usize, Vec<(usize, bool)>>,
+    /// a request); appended to every arc entering that label. Indexed by
+    /// label id.
+    label_prefix: Vec<Burst>,
     merge_parent: Vec<usize>,
 }
 
-impl Builder {
-    fn new(name: &str) -> Self {
+impl<'e> Builder<'e> {
+    /// A builder sized for a stream of about `items` items (one arc and
+    /// state per few transitions; choice forks may walk some twice).
+    fn new(wires: Vec<String>, items: usize) -> Self {
         Builder {
-            name: name.to_string(),
-            signal_names: Vec::new(),
-            signal_ix: HashMap::new(),
+            signal_of: vec![NONE; wires.len()],
+            signals: Vec::with_capacity(wires.len()),
+            wires,
             num_states: 0,
-            arcs: Vec::new(),
-            labels: HashMap::new(),
-            label_prefix: HashMap::new(),
-            merge_parent: Vec::new(),
+            arcs: Vec::with_capacity(items / 2),
+            bursts: Vec::with_capacity(items),
+            labels: Vec::new(),
+            label_prefix: Vec::new(),
+            merge_parent: Vec::with_capacity(items / 2),
         }
     }
 
@@ -197,140 +245,157 @@ impl Builder {
         }
     }
 
-    fn intern(&mut self, name: &str, dir: SignalDir) -> Result<usize, CompileError> {
-        if let Some(&i) = self.signal_ix.get(name) {
-            if self.signal_names[i].1 != dir {
-                return Err(CompileError::DirectionConflict {
-                    signal: name.to_string(),
-                });
-            }
-            return Ok(i);
-        }
-        let i = self.signal_names.len();
-        self.signal_names.push((name.to_string(), dir));
-        self.signal_ix.insert(name.to_string(), i);
-        Ok(i)
+    fn label(&self, l: usize) -> Option<&Binding<'e>> {
+        self.labels.get(l).and_then(Option::as_ref)
     }
 
-    fn walk(&mut self, items: &[Item], mut cur: Option<Cursor>) -> Result<(), CompileError> {
-        let mut i = 0;
-        while i < items.len() {
-            match &items[i] {
-                Item::T(t) => {
-                    let dir = match t.io {
-                        Io::In => SignalDir::Input,
-                        Io::Out => SignalDir::Output,
-                    };
-                    let sig = self.intern(&t.signal, dir)?;
-                    if let Some(c) = cur.as_mut() {
-                        match t.io {
-                            Io::In => {
-                                if !c.pout.is_empty() {
-                                    // Close the arc into a fresh state.
-                                    let next = self.fresh_state();
-                                    self.arcs.push((
-                                        c.state,
-                                        ToRef::State(next),
-                                        std::mem::take(&mut c.pin),
-                                        std::mem::take(&mut c.pout),
-                                    ));
-                                    c.state = next;
-                                }
-                                if c.pin.iter().any(|&(s, _)| s == sig) {
-                                    return Err(CompileError::SignalTwiceInBurst {
-                                        signal: t.signal.clone(),
-                                    });
-                                }
-                                c.pin.push((sig, t.rising));
-                            }
-                            Io::Out => {
-                                if c.pin.is_empty() {
-                                    return Err(CompileError::OutputWithoutTrigger {
-                                        signal: t.signal.clone(),
-                                    });
-                                }
-                                if c.pout.iter().any(|&(s, _)| s == sig) {
-                                    return Err(CompileError::SignalTwiceInBurst {
-                                        signal: t.signal.clone(),
-                                    });
-                                }
-                                c.pout.push((sig, t.rising));
-                            }
-                        }
-                    }
-                }
-                Item::Label(l) => {
-                    if !self.labels.contains_key(l) {
-                        let binding = match &cur {
-                            Some(c) if c.pin.is_empty() && c.pout.is_empty() => {
-                                Binding::State(c.state)
-                            }
-                            _ => Binding::Continuation(items[i + 1..].to_vec()),
+    fn bind(&mut self, l: usize, binding: Binding<'e>) {
+        if self.labels.len() <= l {
+            self.labels.resize_with(l + 1, || None);
+        }
+        self.labels[l] = Some(binding);
+    }
+
+    /// The state a label is bound to, if it is bound to one.
+    fn label_state(&self, l: usize) -> Option<usize> {
+        match self.label(l) {
+            Some(Binding::State(s)) => Some(*s),
+            _ => None,
+        }
+    }
+
+    fn intern(&mut self, wire: usize, dir: SignalDir) -> Result<usize, CompileError> {
+        let sig = self.signal_of[wire];
+        if sig != NONE {
+            if self.signals[sig].1 != dir {
+                return Err(CompileError::DirectionConflict {
+                    signal: self.wires[wire].clone(),
+                });
+            }
+            return Ok(sig);
+        }
+        let sig = self.signals.len();
+        self.signals.push((wire, dir));
+        self.signal_of[wire] = sig;
+        Ok(sig)
+    }
+
+    fn close_arc(&mut self, from: usize, to: ToRef, pin: &[(usize, bool)], pout: &[(usize, bool)]) {
+        let start = self.bursts.len();
+        self.bursts.extend_from_slice(pin);
+        let mid = self.bursts.len();
+        self.bursts.extend_from_slice(pout);
+        self.arcs.push(PendingArc {
+            from,
+            to,
+            at: [start, mid, self.bursts.len()],
+        });
+    }
+
+    /// Closes the cursor's pending arc into a fresh state and moves the
+    /// cursor there, keeping its burst buffers for the next arc.
+    fn advance(&mut self, c: &mut Cursor) {
+        let next = self.fresh_state();
+        self.close_arc(c.state, ToRef::State(next), &c.pin, &c.pout);
+        c.pin.clear();
+        c.pout.clear();
+        c.state = next;
+    }
+
+    /// Compiles a stream given as consecutive segments of the linear form.
+    /// A choice forks the walk: each arm is compiled followed by the rest of
+    /// the stream, borrowed rather than copied.
+    fn walk(&mut self, segs: &[&'e [Item]], mut cur: Option<Cursor>) -> Result<(), CompileError> {
+        for (k, seg) in segs.iter().enumerate() {
+            for (i, item) in seg.iter().enumerate() {
+                match item {
+                    Item::T(t) => {
+                        let dir = match t.io {
+                            Io::In => SignalDir::Input,
+                            Io::Out => SignalDir::Output,
                         };
-                        self.labels.insert(*l, binding);
-                    }
-                }
-                Item::Goto(l) | Item::BGoto(l) => {
-                    if let Some(c) = cur.take() {
-                        if c.pin.is_empty() && c.pout.is_empty() {
-                            // At a state boundary: the jump aliases states.
-                            match self.labels.get(l) {
-                                Some(Binding::State(s)) => {
-                                    let s = *s;
-                                    self.merge(c.state, s);
+                        let sig = self.intern(t.wire, dir)?;
+                        if let Some(c) = cur.as_mut() {
+                            match t.io {
+                                Io::In => {
+                                    if !c.pout.is_empty() {
+                                        // Close the arc into a fresh state.
+                                        self.advance(c);
+                                    }
+                                    if c.pin.iter().any(|&(s, _)| s == sig) {
+                                        return Err(CompileError::SignalTwiceInBurst {
+                                            signal: self.wires[t.wire].clone(),
+                                        });
+                                    }
+                                    c.pin.push((sig, t.rising));
                                 }
-                                _ => {
-                                    // Bind the label's eventual state to this
-                                    // one by noting an empty-burst arc is not
-                                    // representable; defer via alias arc.
-                                    self.arcs.push((
-                                        c.state,
-                                        ToRef::Label(*l),
-                                        Vec::new(),
-                                        Vec::new(),
-                                    ));
+                                Io::Out => {
+                                    if c.pin.is_empty() {
+                                        return Err(CompileError::OutputWithoutTrigger {
+                                            signal: self.wires[t.wire].clone(),
+                                        });
+                                    }
+                                    if c.pout.iter().any(|&(s, _)| s == sig) {
+                                        return Err(CompileError::SignalTwiceInBurst {
+                                            signal: self.wires[t.wire].clone(),
+                                        });
+                                    }
+                                    c.pout.push((sig, t.rising));
                                 }
                             }
-                        } else {
-                            self.arcs.push((c.state, ToRef::Label(*l), c.pin, c.pout));
                         }
                     }
-                }
-                Item::Choice(arms) => {
-                    if let Some(mut c) = cur.take() {
-                        // With outputs already emitted the current arc is
-                        // committed: close it into one shared state and let
-                        // the arms' input bursts resolve the choice there
-                        // (the mux-ack case). With only inputs pending the
-                        // arms' first inputs join the accumulating burst
-                        // per branch (the decision-wait case, Fig. 4).
-                        if !c.pout.is_empty() {
-                            let next = self.fresh_state();
-                            self.arcs.push((
-                                c.state,
-                                ToRef::State(next),
-                                std::mem::take(&mut c.pin),
-                                std::mem::take(&mut c.pout),
-                            ));
-                            c.state = next;
-                        }
-                        let rest = &items[i + 1..];
-                        for arm in arms {
-                            let mut stream = arm.clone();
-                            stream.extend_from_slice(rest);
-                            self.walk(&stream, Some(c.clone()))?;
+                    Item::Label(l) => {
+                        if self.label(*l).is_none() {
+                            let binding = match &cur {
+                                Some(c) if c.at_boundary() => Binding::State(c.state),
+                                _ => Binding::Continuation(rest_after(segs, k, i + 1)),
+                            };
+                            self.bind(*l, binding);
                         }
                     }
-                    return Ok(());
+                    Item::Goto(l) | Item::BGoto(l) => {
+                        if let Some(c) = cur.take() {
+                            if c.at_boundary() {
+                                // At a state boundary: the jump aliases states.
+                                match self.label_state(*l) {
+                                    Some(s) => self.merge(c.state, s),
+                                    // An empty-burst arc is not representable;
+                                    // defer the alias to label resolution.
+                                    None => self.close_arc(c.state, ToRef::Label(*l), &[], &[]),
+                                }
+                            } else {
+                                self.close_arc(c.state, ToRef::Label(*l), &c.pin, &c.pout);
+                            }
+                        }
+                    }
+                    Item::Choice(arms) => {
+                        if let Some(mut c) = cur.take() {
+                            // With outputs already emitted the current arc is
+                            // committed: close it into one shared state and let
+                            // the arms' input bursts resolve the choice there
+                            // (the mux-ack case). With only inputs pending the
+                            // arms' first inputs join the accumulating burst
+                            // per branch (the decision-wait case, Fig. 4).
+                            if !c.pout.is_empty() {
+                                self.advance(&mut c);
+                            }
+                            let mut stream = rest_after(segs, k, i + 1);
+                            stream.insert(0, &[]);
+                            for arm in arms {
+                                stream[0] = arm;
+                                self.walk(&stream, Some(c.clone()))?;
+                            }
+                        }
+                        return Ok(());
+                    }
                 }
             }
-            i += 1;
         }
         // End of stream with pending work: close into a terminal state.
-        if let Some(c) = cur {
-            if !c.pin.is_empty() || !c.pout.is_empty() {
-                let term = self.fresh_state();
-                self.arcs.push((c.state, ToRef::State(term), c.pin, c.pout));
+        if let Some(mut c) = cur {
+            if !c.at_boundary() {
+                self.advance(&mut c);
             }
         }
         Ok(())
@@ -340,140 +405,138 @@ impl Builder {
     /// continuations on demand (this is where loop-head states entered
     /// "fresh" from a goto get their own arcs).
     fn resolve_all(&mut self) -> Result<(), CompileError> {
-        loop {
-            let unresolved: Option<usize> = self.arcs.iter().find_map(|(_, to, _, _)| match to {
-                ToRef::Label(l) if !matches!(self.labels.get(l), Some(Binding::State(_))) => {
-                    Some(*l)
+        // Arcs before `scan` all point at resolved labels, and a resolved
+        // label stays resolved, so each search resumes where the last ended.
+        let mut scan = 0;
+        while let Some(at) = (scan..self.arcs.len()).find(|&ai| match self.arcs[ai].to {
+            ToRef::Label(l) => self.label_state(l).is_none(),
+            ToRef::State(_) => false,
+        }) {
+            scan = at;
+            let ToRef::Label(l) = self.arcs[at].to else {
+                unreachable!("found a label arc")
+            };
+            let Some(Binding::Continuation(mut segs)) =
+                self.labels.get_mut(l).and_then(Option::take)
+            else {
+                return Err(CompileError::UndefinedLabel { label: l });
+            };
+            // Leading output transitions of a loop-head continuation
+            // belong to the arcs that *enter* the label.
+            let mut prefix = Burst::new();
+            segs.retain(|s| !s.is_empty());
+            while let Some(seg) = segs.first().copied() {
+                let Some((Item::T(t), tail)) = seg.split_first() else {
+                    break;
+                };
+                if t.io != Io::Out {
+                    break;
                 }
-                _ => None,
-            });
-            let Some(l) = unresolved else { break };
-            match self.labels.remove(&l) {
-                Some(Binding::State(s)) => {
-                    self.labels.insert(l, Binding::State(s));
+                prefix.push((self.intern(t.wire, SignalDir::Output)?, t.rising));
+                if tail.is_empty() {
+                    segs.remove(0);
+                } else {
+                    segs[0] = tail;
                 }
-                Some(Binding::Continuation(items)) => {
-                    // Leading output transitions of a loop-head continuation
-                    // belong to the arcs that *enter* the label.
-                    let mut prefix: Vec<(usize, bool)> = Vec::new();
-                    let mut rest = items.as_slice();
-                    while let Some(Item::T(t)) = rest.first() {
-                        if t.io != Io::Out {
-                            break;
-                        }
-                        let sig = self.intern(&t.signal, SignalDir::Output)?;
-                        prefix.push((sig, t.rising));
-                        rest = &rest[1..];
-                    }
-                    if !prefix.is_empty() {
-                        self.label_prefix.insert(l, prefix);
-                    }
-                    let s = self.fresh_state();
-                    self.labels.insert(l, Binding::State(s));
-                    let rest = rest.to_vec();
-                    self.walk(
-                        &rest,
-                        Some(Cursor {
-                            state: s,
-                            pin: Vec::new(),
-                            pout: Vec::new(),
-                        }),
-                    )?;
-                }
-                None => return Err(CompileError::UndefinedLabel { label: l }),
             }
+            if !prefix.is_empty() {
+                if self.label_prefix.len() <= l {
+                    self.label_prefix.resize_with(l + 1, Vec::new);
+                }
+                self.label_prefix[l] = prefix;
+            }
+            let s = self.fresh_state();
+            self.bind(l, Binding::State(s));
+            self.walk(&segs, Some(Cursor::at(s)))?;
         }
         // Apply state aliases created by empty-burst gotos to labels.
-        let alias_arcs: Vec<(usize, usize)> = self
-            .arcs
-            .iter()
-            .filter(|(_, _, pin, pout)| pin.is_empty() && pout.is_empty())
-            .map(|(from, to, _, _)| {
-                let t = match to {
-                    ToRef::State(s) => *s,
-                    ToRef::Label(l) => match &self.labels[l] {
-                        Binding::State(s) => *s,
-                        Binding::Continuation(_) => unreachable!("resolved above"),
-                    },
-                };
-                (*from, t)
-            })
-            .collect();
-        for (a, b) in alias_arcs {
-            self.merge(a, b);
+        for ai in 0..self.arcs.len() {
+            let arc = &self.arcs[ai];
+            if arc.is_alias() {
+                let (from, to) = (arc.from, self.target(arc.to)?);
+                self.merge(from, to);
+            }
         }
-        self.arcs
-            .retain(|(_, _, pin, pout)| !pin.is_empty() || !pout.is_empty());
+        self.arcs.retain(|arc| !arc.is_alias());
         Ok(())
     }
 
-    fn finish(mut self, start: usize) -> Result<BmSpec, CompileError> {
-        // Remap states through the union-find, compacting to 0..n.
-        let mut spec = BmSpec::new(&self.name);
-        for (name, dir) in &self.signal_names {
-            spec.add_signal(name.clone(), *dir);
+    /// The state an arc enters.
+    fn target(&self, to: ToRef) -> Result<usize, CompileError> {
+        match to {
+            ToRef::State(s) => Ok(s),
+            ToRef::Label(l) => self
+                .label_state(l)
+                .ok_or(CompileError::UndefinedLabel { label: l }),
         }
-        let mut compact: HashMap<usize, usize> = HashMap::new();
+    }
+
+    fn finish(mut self, name: &str, start: usize) -> Result<BmSpec, CompileError> {
+        let mut spec = BmSpec::new(name);
+        for &(wire, dir) in &self.signals {
+            spec.add_signal(std::mem::take(&mut self.wires[wire]), dir);
+        }
+        // Remap states through the union-find, compacting to 0..n and
+        // keeping only states that are sources/destinations of arcs (or
+        // start), in state order.
         let roots: Vec<usize> = (0..self.num_states).map(|s| self.find(s)).collect();
-        // Keep only states that are sources/destinations of arcs (or start).
-        let mut used: Vec<usize> = vec![self.find(start)];
-        for i in 0..self.arcs.len() {
-            let from = self.arcs[i].0;
-            used.push(roots[from]);
-            let to = match &self.arcs[i].1 {
-                ToRef::State(s) => *s,
-                ToRef::Label(l) => match &self.labels[l] {
-                    Binding::State(s) => *s,
-                    Binding::Continuation(_) => {
-                        return Err(CompileError::UndefinedLabel { label: *l })
-                    }
-                },
-            };
-            used.push(roots[to]);
+        let mut used = vec![false; self.num_states];
+        used[roots[start]] = true;
+        for arc in &self.arcs {
+            used[roots[arc.from]] = true;
+            used[roots[self.target(arc.to)?]] = true;
         }
-        used.sort_unstable();
-        used.dedup();
-        for &s in &used {
-            let id = spec.add_state();
-            compact.insert(s, id);
-        }
-        spec.set_initial(compact[&roots[start]]);
-        let mut emitted: Vec<(usize, usize, Vec<(usize, bool)>, Vec<(usize, bool)>)> = Vec::new();
-        let arcs = std::mem::take(&mut self.arcs);
-        for (from, to, pin, mut pout) in arcs {
-            let to = match to {
-                ToRef::State(s) => s,
-                ToRef::Label(l) => {
-                    if let Some(prefix) = self.label_prefix.get(&l) {
-                        for &(sig, rising) in prefix {
-                            if pout.iter().any(|&(s2, _)| s2 == sig) {
-                                return Err(CompileError::SignalTwiceInBurst {
-                                    signal: self.signal_names[sig].0.clone(),
-                                });
-                            }
-                            pout.push((sig, rising));
-                        }
+        let compact: Vec<usize> = used
+            .iter()
+            .map(|&u| if u { spec.add_state() } else { NONE })
+            .collect();
+        spec.set_initial(compact[roots[start]]);
+        // Identical arcs (the same fork compiled twice) are emitted once;
+        // candidates are found through a per-source-state chain.
+        let mut first_from = vec![NONE; spec.num_states()];
+        let mut next_from: Vec<usize> = Vec::with_capacity(self.arcs.len());
+        let (mut pin, mut pout) = (Burst::new(), Burst::new());
+        for &PendingArc { from, to, at } in &self.arcs {
+            pin.clear();
+            pin.extend_from_slice(&self.bursts[at[0]..at[1]]);
+            pout.clear();
+            pout.extend_from_slice(&self.bursts[at[1]..at[2]]);
+            if let ToRef::Label(l) = to {
+                for &(sig, rising) in self.label_prefix.get(l).map_or(&[][..], Vec::as_slice) {
+                    if pout.iter().any(|&(s2, _)| s2 == sig) {
+                        return Err(CompileError::SignalTwiceInBurst {
+                            signal: spec.signals()[sig].name.clone(),
+                        });
                     }
-                    match &self.labels[&l] {
-                        Binding::State(s) => *s,
-                        Binding::Continuation(_) => unreachable!("resolved"),
-                    }
+                    pout.push((sig, rising));
                 }
-            };
-            let f = compact[&roots[from]];
-            let t = compact[&roots[to]];
-            let mut pin = pin;
-            let mut pout = pout;
+            }
+            let f = compact[roots[from]];
+            let t = compact[roots[self.target(to)?]];
             pin.sort_unstable();
             pout.sort_unstable();
-            if emitted
-                .iter()
-                .any(|(ef, et, ei, eo)| *ef == f && *et == t && *ei == pin && *eo == pout)
-            {
+            let same = |ai: usize| {
+                let a = &spec.arcs()[ai];
+                a.to == t
+                    && a.inputs
+                        .iter()
+                        .map(|e| (e.signal, e.rising))
+                        .eq(pin.iter().copied())
+                    && a.outputs
+                        .iter()
+                        .map(|e| (e.signal, e.rising))
+                        .eq(pout.iter().copied())
+            };
+            let mut ai = first_from[f];
+            while ai != NONE && !same(ai) {
+                ai = next_from[ai];
+            }
+            if ai != NONE {
                 continue;
             }
-            spec.add_arc(f, t, &pin, &pout);
-            emitted.push((f, t, pin, pout));
+            let id = spec.add_arc(f, t, &pin, &pout);
+            next_from.push(first_from[f]);
+            first_from[f] = id;
         }
         spec.validate()?;
         Ok(spec)

@@ -5,9 +5,15 @@
 //! external-choice branches. Interleaving operators combine the four events
 //! of their arguments exactly per Table 2 of the paper; `rep`/`break` insert
 //! the label/goto machinery of §3.2; the mux channels insert `choice`.
+//!
+//! Wire names are interned once per expansion: a transition carries the
+//! index of its wire in [`Expansion::wires`], so the walkers downstream
+//! (the CH→BMS compiler and trace generation) compare and look up wires by
+//! integer, and each distinct name is formatted exactly once.
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
-use std::fmt;
+use bmbe_trace::fxhash::{hash_of, HashIndex};
+use std::fmt::{self, Write};
 
 /// Direction of a transition relative to the component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,13 +24,25 @@ pub enum Io {
     Out,
 }
 
-/// A single signal transition, e.g. `(o a_r +)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A single signal transition on an interned wire, e.g. `(o a_r +)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Trans {
     /// Input or output.
     pub io: Io,
+    /// Index of the wire in the expansion's [`Expansion::wires`] table.
+    pub wire: usize,
+    /// Rising (`+`) or falling (`-`).
+    pub rising: bool,
+}
+
+/// A transition with its wire name resolved, as listed by
+/// [`Expansion::transitions`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Transition<'a> {
+    /// Input or output.
+    pub io: Io,
     /// Wire name (e.g. `a_r`).
-    pub signal: String,
+    pub signal: &'a str,
     /// Rising (`+`) or falling (`-`).
     pub rising: bool,
 }
@@ -49,34 +67,48 @@ pub enum Item {
 pub struct Expansion {
     /// The four atomic events.
     pub events: [Vec<Item>; 4],
+    /// Wire names, indexed by [`Trans::wire`], in order of first
+    /// appearance during expansion.
+    pub wires: Vec<String>,
 }
 
 impl Expansion {
-    fn empty() -> Self {
-        Expansion::default()
+    /// Concatenates the four events into the linear intermediate form of
+    /// §3.6. The wire table stays with the expansion; see
+    /// [`into_linear`](Self::into_linear) to keep both.
+    pub fn linearize(self) -> Vec<Item> {
+        self.into_linear().0
     }
 
-    /// Concatenates the four events into the linear intermediate form of
-    /// §3.6.
-    pub fn linearize(self) -> Vec<Item> {
-        let [a, b, c, d] = self.events;
-        let mut out = a;
-        out.extend(b);
-        out.extend(c);
-        out.extend(d);
-        out
+    /// The linear intermediate form together with its wire table.
+    pub fn into_linear(self) -> (Vec<Item>, Vec<String>) {
+        let [mut a, b, c, d] = self.events;
+        a.reserve(b.len() + c.len() + d.len());
+        a.extend(b);
+        a.extend(c);
+        a.extend(d);
+        (a, self.wires)
+    }
+
+    /// The name of an interned wire.
+    pub fn signal(&self, wire: usize) -> &str {
+        &self.wires[wire]
     }
 
     /// The transitions of the expansion in linear order, descending into
     /// choices.
-    pub fn transitions(&self) -> Vec<Trans> {
-        fn walk(items: &[Item], out: &mut Vec<Trans>) {
+    pub fn transitions(&self) -> Vec<Transition<'_>> {
+        fn walk<'a>(items: &[Item], wires: &'a [String], out: &mut Vec<Transition<'a>>) {
             for item in items {
                 match item {
-                    Item::T(t) => out.push(t.clone()),
+                    Item::T(t) => out.push(Transition {
+                        io: t.io,
+                        signal: &wires[t.wire],
+                        rising: t.rising,
+                    }),
                     Item::Choice(arms) => {
                         for arm in arms {
-                            walk(arm, out);
+                            walk(arm, wires, out);
                         }
                     }
                     _ => {}
@@ -85,7 +117,7 @@ impl Expansion {
         }
         let mut out = Vec::new();
         for e in &self.events {
-            walk(e, &mut out);
+            walk(e, &self.wires, &mut out);
         }
         out
     }
@@ -106,7 +138,7 @@ impl fmt::Display for Expansion {
                         f,
                         "({} {} {})",
                         if t.io == Io::In { "i" } else { "o" },
-                        t.signal,
+                        self.wires[t.wire],
                         if t.rising { "+" } else { "-" }
                     )?,
                     Item::Label(l) => write!(f, "(label L{l})")?,
@@ -145,43 +177,194 @@ impl std::error::Error for ExpandError {}
 /// Returns [`ExpandError::BreakOutsideLoop`] when a `break` has no
 /// enclosing `rep`.
 pub fn expand(expr: &ChExpr) -> Result<Expansion, ExpandError> {
-    let mut ctx = Ctx {
-        next_label: 0,
-        loop_exits: Vec::new(),
+    let mut ctx = Ctx::new();
+    let chains = ctx.expand(expr)?;
+    Ok(Expansion {
+        events: chains.map(|c| ctx.flatten(c)),
+        wires: ctx.wires,
+    })
+}
+
+/// Expands straight to the linear intermediate form and its wire table
+/// (what [`Expansion::into_linear`] returns, without the per-event lists).
+pub(crate) fn expand_linear(expr: &ChExpr) -> Result<(Vec<Item>, Vec<String>), ExpandError> {
+    let mut ctx = Ctx::new();
+    let chains = ctx.expand(expr)?;
+    let linear = ctx.linear(chains);
+    Ok((ctx.flatten(linear), ctx.wires))
+}
+
+/// The rest of a stream given as consecutive segments of the linear form,
+/// after item `i` of segment `k`. The walkers resume with it after a label
+/// or a choice, borrowing the linear form instead of copying its tail.
+pub(crate) fn rest_after<'e>(segs: &[&'e [Item]], k: usize, i: usize) -> Vec<&'e [Item]> {
+    let mut rest = Vec::with_capacity(segs.len() - k + 1);
+    rest.push(&segs[k][i..]);
+    rest.extend_from_slice(&segs[k + 1..]);
+    rest
+}
+
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// A list of arena nodes. Chains concatenate by relinking in O(1), so an
+/// item is written once however deeply its operators nest (copying event
+/// lists would move it once per enclosing operator). Every chain is
+/// consumed exactly once — Table 2 places each argument event once — so
+/// relinking never corrupts another chain.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+        len: 0,
     };
-    ctx.expand(expr)
+}
+
+/// The four events of an expansion under construction.
+type Chains = [Chain; 4];
+
+/// An item in the arena: choices hold their arms as chains.
+#[derive(Debug)]
+enum Piece {
+    Item(Item),
+    Choice(Vec<Chain>),
+}
+
+#[derive(Debug)]
+struct Node {
+    piece: Piece,
+    next: u32,
 }
 
 struct Ctx {
     next_label: usize,
     loop_exits: Vec<usize>,
+    wires: Vec<String>,
+    wire_ix: HashIndex,
+    /// Scratch buffer the next wire name is formatted into.
+    name: String,
+    nodes: Vec<Node>,
 }
 
 impl Ctx {
+    /// A context sized for a typical component (a few dozen transitions
+    /// over a dozen wires), so small expansions never regrow a buffer.
+    fn new() -> Self {
+        Ctx {
+            next_label: 0,
+            loop_exits: Vec::new(),
+            wires: Vec::with_capacity(16),
+            wire_ix: HashIndex::with_capacity(16),
+            name: String::with_capacity(32),
+            nodes: Vec::with_capacity(64),
+        }
+    }
+
     fn fresh_label(&mut self) -> usize {
         self.next_label += 1;
         self.next_label - 1
     }
 
-    fn expand(&mut self, expr: &ChExpr) -> Result<Expansion, ExpandError> {
+    /// Interns the wire `{channel}{suffix}{index}`, formatting its name only
+    /// the first time it is seen.
+    fn wire(&mut self, channel: &str, suffix: &str, index: Option<usize>) -> usize {
+        self.name.clear();
+        self.name.push_str(channel);
+        self.name.push_str(suffix);
+        if let Some(i) = index {
+            write!(self.name, "{i}").expect("writing to a String cannot fail");
+        }
+        let hash = hash_of(self.name.as_str());
+        if let Some(w) = self.wire_ix.find(hash, |w| self.wires[w] == self.name) {
+            return w;
+        }
+        self.wires.push(self.name.clone());
+        self.wire_ix.insert(hash)
+    }
+
+    fn piece(&mut self, piece: Piece) -> Chain {
+        let at = u32::try_from(self.nodes.len()).expect("expansion fits a u32 arena");
+        self.nodes.push(Node { piece, next: NIL });
+        Chain {
+            head: at,
+            tail: at,
+            len: 1,
+        }
+    }
+
+    fn item(&mut self, item: Item) -> Chain {
+        self.piece(Piece::Item(item))
+    }
+
+    fn trans(&mut self, io: Io, wire: usize, rising: bool) -> Chain {
+        self.item(Item::T(Trans { io, wire, rising }))
+    }
+
+    /// Concatenates chains in order.
+    fn cat<const N: usize>(&mut self, parts: [Chain; N]) -> Chain {
+        let mut out = Chain::EMPTY;
+        for p in parts {
+            if p.head == NIL {
+                continue;
+            }
+            if out.head == NIL {
+                out = p;
+            } else {
+                self.nodes[out.tail as usize].next = p.head;
+                out.tail = p.tail;
+                out.len += p.len;
+            }
+        }
+        out
+    }
+
+    /// The four events in sequence: the linear form of §3.6.
+    fn linear(&mut self, events: Chains) -> Chain {
+        self.cat(events)
+    }
+
+    /// Copies a chain out of the arena as a list of items.
+    fn flatten(&self, chain: Chain) -> Vec<Item> {
+        let mut out = Vec::with_capacity(chain.len as usize);
+        let mut at = chain.head;
+        while at != NIL {
+            let node = &self.nodes[at as usize];
+            out.push(match &node.piece {
+                Piece::Item(item) => item.clone(),
+                Piece::Choice(arms) => {
+                    Item::Choice(arms.iter().map(|&a| self.flatten(a)).collect())
+                }
+            });
+            if at == chain.tail {
+                break;
+            }
+            at = node.next;
+        }
+        out
+    }
+
+    fn expand(&mut self, expr: &ChExpr) -> Result<Chains, ExpandError> {
         match expr {
-            ChExpr::PToP { activity, name } => Ok(ptop_expansion(name, *activity)),
-            ChExpr::MultAck { activity, name, n } => Ok(mult_ack_expansion(name, *activity, *n)),
-            ChExpr::MultReq { activity, name, n } => Ok(mult_req_expansion(name, *activity, *n)),
-            ChExpr::Void => Ok(Expansion::empty()),
+            ChExpr::PToP { activity, name } => Ok(self.ptop(name, *activity)),
+            ChExpr::MultAck { activity, name, n } => Ok(self.mult_ack(name, *activity, *n)),
+            ChExpr::MultReq { activity, name, n } => Ok(self.mult_req(name, *activity, *n)),
+            ChExpr::Void => Ok([Chain::EMPTY; 4]),
             ChExpr::Verb { events, .. } => {
-                let mut out = Expansion::empty();
+                let mut out = [Chain::EMPTY; 4];
                 for (i, ev) in events.iter().enumerate() {
-                    out.events[i] = ev
-                        .iter()
-                        .map(|t| {
-                            Item::T(Trans {
-                                io: if t.out { Io::Out } else { Io::In },
-                                signal: t.signal.clone(),
-                                rising: t.rising,
-                            })
-                        })
-                        .collect();
+                    for t in ev {
+                        let io = if t.out { Io::Out } else { Io::In };
+                        let wire = self.wire(&t.signal, "", None);
+                        let one = self.trans(io, wire, t.rising);
+                        out[i] = self.cat([out[i], one]);
+                    }
                 }
                 Ok(out)
             }
@@ -191,249 +374,167 @@ impl Ctx {
                 self.loop_exits.push(exit);
                 let body = self.expand(inner)?;
                 self.loop_exits.pop();
-                let mut e1 = vec![Item::Label(head)];
-                e1.extend(body.linearize());
-                e1.push(Item::Goto(head));
-                e1.push(Item::Label(exit));
-                Ok(Expansion {
-                    events: [e1, vec![], vec![], vec![]],
-                })
+                let body = self.linear(body);
+                let label = self.item(Item::Label(head));
+                let goto = self.item(Item::Goto(head));
+                let out = self.item(Item::Label(exit));
+                Ok(first_only(self.cat([label, body, goto, out])))
             }
             ChExpr::Break => {
                 let exit = *self
                     .loop_exits
                     .last()
                     .ok_or(ExpandError::BreakOutsideLoop)?;
-                Ok(Expansion {
-                    events: [vec![Item::BGoto(exit)], vec![], vec![], vec![]],
-                })
+                Ok(first_only(self.item(Item::BGoto(exit))))
             }
             ChExpr::MuxAck { name, arms } => {
+                let req = self.wire(name, "_r", None);
                 let mut compiled_arms = Vec::with_capacity(arms.len());
                 for (i, (op, arg)) in arms.iter().enumerate() {
                     // The virtual channel: ack on wire i, shared return-to-
                     // zero of the request; the r+ is hoisted out in front of
                     // the choice.
-                    let vchan = Expansion {
-                        events: [
-                            vec![],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_a{i}"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_r"),
-                                rising: false,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_a{i}"),
-                                rising: false,
-                            })],
-                        ],
-                    };
+                    let ack = self.wire(name, "_a", Some(i));
+                    let vchan = [
+                        Chain::EMPTY,
+                        self.trans(Io::In, ack, true),
+                        self.trans(Io::Out, req, false),
+                        self.trans(Io::In, ack, false),
+                    ];
                     let arg_exp = self.expand(arg)?;
-                    let combined = combine(*op, vchan, ChActivity::Active, arg_exp, arg.activity());
-                    compiled_arms.push(combined.linearize());
+                    let combined = self.combine(*op, vchan, ChActivity::Active, arg_exp);
+                    compiled_arms.push(self.linear(combined));
                 }
-                let e1 = vec![
-                    Item::T(Trans {
-                        io: Io::Out,
-                        signal: format!("{name}_r"),
-                        rising: true,
-                    }),
-                    Item::Choice(compiled_arms),
-                ];
-                Ok(Expansion {
-                    events: [e1, vec![], vec![], vec![]],
-                })
+                let r_up = self.trans(Io::Out, req, true);
+                let choice = self.piece(Piece::Choice(compiled_arms));
+                Ok(first_only(self.cat([r_up, choice])))
             }
             ChExpr::MuxReq { name, arms } => {
                 let mut compiled_arms = Vec::with_capacity(arms.len());
                 for (i, (op, arg)) in arms.iter().enumerate() {
-                    let vchan = Expansion {
-                        events: [
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_r{i}"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_a"),
-                                rising: true,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::In,
-                                signal: format!("{name}_r{i}"),
-                                rising: false,
-                            })],
-                            vec![Item::T(Trans {
-                                io: Io::Out,
-                                signal: format!("{name}_a"),
-                                rising: false,
-                            })],
-                        ],
-                    };
+                    let req = self.wire(name, "_r", Some(i));
+                    let ack = self.wire(name, "_a", None);
+                    let vchan = [
+                        self.trans(Io::In, req, true),
+                        self.trans(Io::Out, ack, true),
+                        self.trans(Io::In, req, false),
+                        self.trans(Io::Out, ack, false),
+                    ];
                     let arg_exp = self.expand(arg)?;
-                    let combined =
-                        combine(*op, vchan, ChActivity::Passive, arg_exp, arg.activity());
-                    compiled_arms.push(combined.linearize());
+                    let combined = self.combine(*op, vchan, ChActivity::Passive, arg_exp);
+                    compiled_arms.push(self.linear(combined));
                 }
-                Ok(Expansion {
-                    events: [vec![Item::Choice(compiled_arms)], vec![], vec![], vec![]],
-                })
+                Ok(first_only(self.piece(Piece::Choice(compiled_arms))))
             }
             ChExpr::Op { op, a, b } => {
                 let ea = self.expand(a)?;
                 let eb = self.expand(b)?;
-                Ok(combine(*op, ea, a.activity(), eb, b.activity()))
+                Ok(self.combine(*op, ea, a.activity(), eb))
             }
         }
     }
-}
 
-fn trans(io: Io, signal: String, rising: bool) -> Item {
-    Item::T(Trans { io, signal, rising })
-}
-
-fn ptop_expansion(name: &str, activity: ChActivity) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    Expansion {
-        events: [
-            vec![trans(req_io, format!("{name}_r"), true)],
-            vec![trans(ack_io, format!("{name}_a"), true)],
-            vec![trans(req_io, format!("{name}_r"), false)],
-            vec![trans(ack_io, format!("{name}_a"), false)],
-        ],
+    fn ptop(&mut self, name: &str, activity: ChActivity) -> Chains {
+        let (req_io, ack_io) = handshake_dirs(activity);
+        let req = self.wire(name, "_r", None);
+        let ack = self.wire(name, "_a", None);
+        [
+            self.trans(req_io, req, true),
+            self.trans(ack_io, ack, true),
+            self.trans(req_io, req, false),
+            self.trans(ack_io, ack, false),
+        ]
     }
-}
 
-fn mult_ack_expansion(name: &str, activity: ChActivity, n: usize) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    let acks = |rising: bool| -> Vec<Item> {
-        (0..n)
-            .map(|i| trans(ack_io, format!("{name}_a{i}"), rising))
-            .collect()
-    };
-    Expansion {
-        events: [
-            vec![trans(req_io, format!("{name}_r"), true)],
-            acks(true),
-            vec![trans(req_io, format!("{name}_r"), false)],
-            acks(false),
-        ],
+    fn mult_ack(&mut self, name: &str, activity: ChActivity, n: usize) -> Chains {
+        let (req_io, ack_io) = handshake_dirs(activity);
+        let req = self.wire(name, "_r", None);
+        let acks: Vec<usize> = (0..n).map(|i| self.wire(name, "_a", Some(i))).collect();
+        [
+            self.trans(req_io, req, true),
+            self.burst(ack_io, &acks, true),
+            self.trans(req_io, req, false),
+            self.burst(ack_io, &acks, false),
+        ]
     }
-}
 
-fn mult_req_expansion(name: &str, activity: ChActivity, n: usize) -> Expansion {
-    let (req_io, ack_io) = match activity {
-        ChActivity::Active => (Io::Out, Io::In),
-        _ => (Io::In, Io::Out),
-    };
-    let reqs = |rising: bool| -> Vec<Item> {
-        (0..n)
-            .map(|i| trans(req_io, format!("{name}_r{i}"), rising))
-            .collect()
-    };
-    Expansion {
-        events: [
-            reqs(true),
-            vec![trans(ack_io, format!("{name}_a"), true)],
-            reqs(false),
-            vec![trans(ack_io, format!("{name}_a"), false)],
-        ],
+    fn mult_req(&mut self, name: &str, activity: ChActivity, n: usize) -> Chains {
+        let (req_io, ack_io) = handshake_dirs(activity);
+        let reqs: Vec<usize> = (0..n).map(|i| self.wire(name, "_r", Some(i))).collect();
+        let ack = self.wire(name, "_a", None);
+        [
+            self.burst(req_io, &reqs, true),
+            self.trans(ack_io, ack, true),
+            self.burst(req_io, &reqs, false),
+            self.trans(ack_io, ack, false),
+        ]
     }
-}
 
-/// Combines two expansions per Table 2. The activity arguments select the
-/// row variant (only `enc-early` differs between active and passive first
-/// arguments); `Neither` behaves as passive — its events are empty, so the
-/// placement collapses to the other argument's events.
-fn combine(
-    op: InterleaveOp,
-    a: Expansion,
-    a_act: ChActivity,
-    b: Expansion,
-    _b_act: ChActivity,
-) -> Expansion {
-    let [a1, a2, a3, a4] = a.events;
-    let [b1, b2, b3, b4] = b.events;
-    let cat = |parts: Vec<Vec<Item>>| -> Vec<Item> { parts.into_iter().flatten().collect() };
-    match op {
-        InterleaveOp::EncEarly => {
-            if a_act == ChActivity::Active {
-                // [a1][a2 b1 b2 b3 b4][a3][a4]
-                Expansion {
-                    events: [a1, cat(vec![a2, b1, b2, b3, b4]), a3, a4],
-                }
-            } else {
-                // [a1 b1 b2 b3 b4][a2][a3][a4]
-                Expansion {
-                    events: [cat(vec![a1, b1, b2, b3, b4]), a2, a3, a4],
+    /// One transition per wire, in order.
+    fn burst(&mut self, io: Io, wires: &[usize], rising: bool) -> Chain {
+        let mut out = Chain::EMPTY;
+        for &w in wires {
+            let one = self.trans(io, w, rising);
+            out = self.cat([out, one]);
+        }
+        out
+    }
+
+    /// Combines two expansions per Table 2. The activity of the first
+    /// argument selects the row variant (only `enc-early` differs between
+    /// active and passive first arguments); `Neither` behaves as passive —
+    /// its events are empty, so the placement collapses to the other
+    /// argument's events.
+    fn combine(&mut self, op: InterleaveOp, a: Chains, a_act: ChActivity, b: Chains) -> Chains {
+        let [a1, a2, a3, a4] = a;
+        let [b1, b2, b3, b4] = b;
+        match op {
+            InterleaveOp::EncEarly => {
+                if a_act == ChActivity::Active {
+                    // [a1][a2 b1 b2 b3 b4][a3][a4]
+                    [a1, self.cat([a2, b1, b2, b3, b4]), a3, a4]
+                } else {
+                    // [a1 b1 b2 b3 b4][a2][a3][a4]
+                    [self.cat([a1, b1, b2, b3, b4]), a2, a3, a4]
                 }
             }
-        }
-        InterleaveOp::EncLate => {
             // [a1][a2][a3][b1 b2 b3 b4 a4]
-            Expansion {
-                events: [a1, a2, a3, cat(vec![b1, b2, b3, b4, a4])],
-            }
-        }
-        InterleaveOp::EncMiddle => {
+            InterleaveOp::EncLate => [a1, a2, a3, self.cat([b1, b2, b3, b4, a4])],
             // [a1 b1][b2 a2][a3 b3][b4 a4]
-            Expansion {
-                events: [
-                    cat(vec![a1, b1]),
-                    cat(vec![b2, a2]),
-                    cat(vec![a3, b3]),
-                    cat(vec![b4, a4]),
-                ],
-            }
-        }
-        InterleaveOp::Seq => {
+            InterleaveOp::EncMiddle => [
+                self.cat([a1, b1]),
+                self.cat([b2, a2]),
+                self.cat([a3, b3]),
+                self.cat([b4, a4]),
+            ],
             // [a1 a2 a3 a4 b1][b2][b3][b4]
-            Expansion {
-                events: [cat(vec![a1, a2, a3, a4, b1]), b2, b3, b4],
-            }
-        }
-        InterleaveOp::SeqOv => {
+            InterleaveOp::Seq => [self.cat([a1, a2, a3, a4, b1]), b2, b3, b4],
             // [a1 a2][b1 b2][a3 a4][b3 b4]
-            Expansion {
-                events: [
-                    cat(vec![a1, a2]),
-                    cat(vec![b1, b2]),
-                    cat(vec![a3, a4]),
-                    cat(vec![b3, b4]),
-                ],
+            InterleaveOp::SeqOv => [
+                self.cat([a1, a2]),
+                self.cat([b1, b2]),
+                self.cat([a3, a4]),
+                self.cat([b3, b4]),
+            ],
+            InterleaveOp::Mutex => {
+                let arm_a = self.linear(a);
+                let arm_b = self.linear(b);
+                first_only(self.piece(Piece::Choice(vec![arm_a, arm_b])))
             }
         }
-        InterleaveOp::Mutex => {
-            let arm_a = Expansion {
-                events: [a1, a2, a3, a4],
-            }
-            .linearize();
-            let arm_b = Expansion {
-                events: [b1, b2, b3, b4],
-            }
-            .linearize();
-            Expansion {
-                events: [
-                    vec![Item::Choice(vec![arm_a, arm_b])],
-                    vec![],
-                    vec![],
-                    vec![],
-                ],
-            }
-        }
+    }
+}
+
+/// An expansion whose whole behaviour sits in its first event.
+fn first_only(chain: Chain) -> Chains {
+    [chain, Chain::EMPTY, Chain::EMPTY, Chain::EMPTY]
+}
+
+/// Request and acknowledge directions of a handshake with this activity.
+fn handshake_dirs(activity: ChActivity) -> (Io, Io) {
+    match activity {
+        ChActivity::Active => (Io::Out, Io::In),
+        _ => (Io::In, Io::Out),
     }
 }
 
@@ -607,7 +708,7 @@ mod tests {
                 let names: Vec<&str> = arms[0]
                     .iter()
                     .filter_map(|i| match i {
-                        Item::T(t) => Some(t.signal.as_str()),
+                        Item::T(t) => Some(e.signal(t.wire)),
                         _ => None,
                     })
                     .collect();
@@ -616,6 +717,24 @@ mod tests {
             }
             other => panic!("expected choice, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wires_are_interned_once_in_first_appearance_order() {
+        let e = expand(&ChExpr::Rep(Box::new(ChExpr::op(
+            Seq,
+            ChExpr::passive("p"),
+            ChExpr::op(Seq, ChExpr::active("x"), ChExpr::passive("p")),
+        ))))
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(e.wires, ["p_r", "p_a", "x_r", "x_a"]);
+        let (items, wires) = e.clone().into_linear();
+        assert_eq!(wires, e.wires);
+        let reqs = items
+            .iter()
+            .filter(|i| matches!(i, Item::T(t) if wires[t.wire] == "p_r"))
+            .count();
+        assert_eq!(reqs, 4, "both p handshakes share one interned p_r");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::ast::{ChActivity, ChExpr, InterleaveOp};
 use crate::opt::acr::activation_channel_removal;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A named control component with its CH program.
@@ -90,25 +89,30 @@ impl CtrlNetlist {
     /// Internal point-to-point channels: channel names appearing in exactly
     /// two components, actively in one and passively in the other.
     pub fn internal_channels(&self) -> Vec<InternalChannel> {
-        let mut uses: BTreeMap<String, Vec<(usize, ChActivity)>> = BTreeMap::new();
+        // Every component's channels as borrowed `(name, component,
+        // activity)` triples, sorted by name and then component.
+        let mut uses: Vec<(&str, usize, ChActivity)> = Vec::new();
+        let mut mentions = Vec::new();
         for (ci, comp) in self.components.iter().enumerate() {
-            for (chan, act) in comp.program.channels() {
-                uses.entry(chan).or_default().push((ci, act));
-            }
+            mentions.clear();
+            comp.program.channel_mentions(&mut mentions);
+            // The last mention of a name decides its activity.
+            mentions.reverse();
+            mentions.sort_by_key(|&(name, _)| name);
+            mentions.dedup_by_key(|&mut (name, _)| name);
+            uses.extend(mentions.iter().map(|&(name, act)| (name, ci, act)));
         }
+        uses.sort_by_key(|&(name, ci, _)| (name, ci));
         let mut out = Vec::new();
-        for (chan, ends) in uses {
-            if ends.len() != 2 {
-                continue;
-            }
-            let (a, b) = (ends[0], ends[1]);
-            let (active, passive) = match (a.1, b.1) {
-                (ChActivity::Active, ChActivity::Passive) => (a.0, b.0),
-                (ChActivity::Passive, ChActivity::Active) => (b.0, a.0),
+        for ends in uses.chunk_by(|x, y| x.0 == y.0) {
+            let [a, b] = ends else { continue };
+            let (active, passive) = match (a.2, b.2) {
+                (ChActivity::Active, ChActivity::Passive) => (a.1, b.1),
+                (ChActivity::Passive, ChActivity::Active) => (b.1, a.1),
                 _ => continue,
             };
             out.push(InternalChannel {
-                name: chan,
+                name: a.0.to_string(),
                 active,
                 passive,
             });

@@ -9,9 +9,8 @@
 //! position), choices branch, and gotos loop.
 
 use crate::ast::ChExpr;
-use crate::expand::{expand, ExpandError, Io, Item};
+use crate::expand::{expand_linear, rest_after, ExpandError, Io, Item};
 use bmbe_trace::{Dir, TraceStructure};
-use std::collections::HashMap;
 
 /// Errors raised during trace generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +22,12 @@ pub enum TraceGenError {
         /// The label id.
         label: usize,
     },
+    /// A wire is both driven and received by the program, so it cannot be
+    /// one symbol of the trace alphabet.
+    DirectionConflict {
+        /// The wire.
+        signal: String,
+    },
 }
 
 impl std::fmt::Display for TraceGenError {
@@ -30,6 +35,9 @@ impl std::fmt::Display for TraceGenError {
         match self {
             TraceGenError::Expand(e) => write!(f, "expansion failed: {e}"),
             TraceGenError::UndefinedLabel { label } => write!(f, "undefined label L{label}"),
+            TraceGenError::DirectionConflict { signal } => {
+                write!(f, "wire {signal} used as both input and output")
+            }
         }
     }
 }
@@ -42,6 +50,9 @@ impl From<ExpandError> for TraceGenError {
     }
 }
 
+/// Marks a wire the walk has not met yet.
+const NONE: usize = usize::MAX;
+
 /// Builds the trace structure of a CH program. Input transitions become
 /// `Dir::Input` symbols (wire names), output transitions `Dir::Output`.
 ///
@@ -49,93 +60,125 @@ impl From<ExpandError> for TraceGenError {
 ///
 /// See [`TraceGenError`].
 pub fn trace_of(expr: &ChExpr) -> Result<TraceStructure, TraceGenError> {
-    let items = expand(expr)?.linearize();
+    let (items, wires) = expand_linear(expr)?;
     let mut b = TraceBuilder {
-        ts: TraceStructure::new(),
-        labels: HashMap::new(),
+        ts: TraceStructure::with_alphabet_capacity(wires.len()),
+        symbol_of: vec![NONE; wires.len()],
+        wires: &wires,
+        labels: Vec::new(),
         pending_gotos: Vec::new(),
     };
     let start = b.ts.initial();
-    b.walk(&items, Some(start))?;
+    b.walk(&[&items], Some(start))?;
     b.resolve()?;
     Ok(b.ts)
 }
 
-enum LabelBinding {
+enum LabelBinding<'e> {
     State(usize),
-    Continuation(Vec<Item>),
+    /// The rest of the stream after the label, as borrowed segments.
+    Continuation(Vec<&'e [Item]>),
 }
 
-struct TraceBuilder {
+struct TraceBuilder<'e> {
     ts: TraceStructure,
-    labels: HashMap<usize, LabelBinding>,
-    /// `(from_state, symbol, label)` edges awaiting label resolution —
-    /// `symbol == usize::MAX` marks a pure aliasing request handled by
-    /// binding the label to `from_state` itself.
-    pending_gotos: Vec<(usize, usize, usize)>,
+    /// The symbol of each wire, [`NONE`] until the walk meets it.
+    symbol_of: Vec<usize>,
+    wires: &'e [String],
+    /// Label bindings, indexed by label id.
+    labels: Vec<Option<LabelBinding<'e>>>,
+    /// `(from_state, label)` pairs awaiting label resolution: the goto
+    /// source is aliased to the label's state.
+    pending_gotos: Vec<(usize, usize)>,
 }
 
-impl TraceBuilder {
-    fn walk(&mut self, items: &[Item], mut cur: Option<usize>) -> Result<(), TraceGenError> {
-        let mut i = 0;
-        while i < items.len() {
-            match &items[i] {
-                Item::T(t) => {
-                    let dir = if t.io == Io::In {
-                        Dir::Input
-                    } else {
-                        Dir::Output
-                    };
-                    let sym = self.ts.add_symbol(t.signal.clone(), dir);
-                    if let Some(s) = cur {
-                        // Peek: if the very next meaningful item is a goto at
-                        // this point we still need a state; always create one.
-                        let next = self.ts.add_state();
-                        self.ts.add_transition(s, sym, next);
-                        cur = Some(next);
-                    }
-                }
-                Item::Label(l) => {
-                    if !self.labels.contains_key(l) {
-                        let binding = match cur {
-                            Some(s) => LabelBinding::State(s),
-                            None => LabelBinding::Continuation(items[i + 1..].to_vec()),
+impl<'e> TraceBuilder<'e> {
+    fn label_state(&self, l: usize) -> Option<usize> {
+        match self.labels.get(l) {
+            Some(Some(LabelBinding::State(s))) => Some(*s),
+            _ => None,
+        }
+    }
+
+    fn bind(&mut self, l: usize, binding: LabelBinding<'e>) {
+        if self.labels.len() <= l {
+            self.labels.resize_with(l + 1, || None);
+        }
+        self.labels[l] = Some(binding);
+    }
+
+    fn symbol(&mut self, wire: usize, dir: Dir) -> Result<usize, TraceGenError> {
+        let sym = self.symbol_of[wire];
+        if sym == NONE {
+            let sym = self.ts.add_symbol(self.wires[wire].clone(), dir);
+            self.symbol_of[wire] = sym;
+            return Ok(sym);
+        }
+        if self.ts.symbols()[sym].1 != dir {
+            return Err(TraceGenError::DirectionConflict {
+                signal: self.wires[wire].clone(),
+            });
+        }
+        Ok(sym)
+    }
+
+    /// Walks a stream given as consecutive segments of the linear form; a
+    /// choice walks each arm followed by the (borrowed) rest of the stream.
+    fn walk(&mut self, segs: &[&'e [Item]], mut cur: Option<usize>) -> Result<(), TraceGenError> {
+        for (k, seg) in segs.iter().enumerate() {
+            for (i, item) in seg.iter().enumerate() {
+                match item {
+                    Item::T(t) => {
+                        let dir = if t.io == Io::In {
+                            Dir::Input
+                        } else {
+                            Dir::Output
                         };
-                        self.labels.insert(*l, binding);
-                    } else if let (Some(s), Some(LabelBinding::State(t))) =
-                        (cur, self.labels.get(l))
-                    {
-                        // Re-encountered label while live: redirect by alias.
-                        let t = *t;
-                        if s != t {
-                            // Merge by re-walking is avoided: instead alias
-                            // via an identity note (pending with MAX symbol).
-                            self.pending_gotos.push((s, usize::MAX, *l));
-                            let _ = t;
+                        let sym = self.symbol(t.wire, dir)?;
+                        if let Some(s) = cur {
+                            // Every transition gets a fresh target state,
+                            // even one a goto follows.
+                            let next = self.ts.add_state();
+                            self.ts.add_transition(s, sym, next);
+                            cur = Some(next);
                         }
                     }
-                }
-                Item::Goto(l) | Item::BGoto(l) => {
-                    if let Some(s) = cur.take() {
-                        // The state `s` *is* the label's state: since trace
+                    Item::Label(l) => {
+                        match (self.labels.get(*l).is_some_and(Option::is_some), cur) {
+                            (false, Some(s)) => self.bind(*l, LabelBinding::State(s)),
+                            (false, None) => self
+                                .bind(*l, LabelBinding::Continuation(rest_after(segs, k, i + 1))),
+                            // Re-encountered label while live: alias the current
+                            // state with the label's.
+                            (true, Some(s)) => {
+                                if self.label_state(*l).is_some_and(|t| t != s) {
+                                    self.pending_gotos.push((s, *l));
+                                }
+                            }
+                            (true, None) => {}
+                        }
+                    }
+                    Item::Goto(l) | Item::BGoto(l) => {
+                        // The state *is* the label's state: since trace
                         // edges are per-transition, a goto simply continues
                         // at the label. Record for later merging.
-                        self.pending_gotos.push((s, usize::MAX, *l));
-                    }
-                }
-                Item::Choice(arms) => {
-                    if let Some(s) = cur {
-                        let rest = &items[i + 1..];
-                        for arm in arms {
-                            let mut stream = arm.clone();
-                            stream.extend_from_slice(rest);
-                            self.walk(&stream, Some(s))?;
+                        if let Some(s) = cur.take() {
+                            self.pending_gotos.push((s, *l));
                         }
                     }
-                    return Ok(());
+                    Item::Choice(arms) => {
+                        if let Some(s) = cur {
+                            let mut stream = rest_after(segs, k, i + 1);
+                            stream.insert(0, &[]);
+                            for arm in arms {
+                                stream[0] = arm;
+                                self.walk(&stream, Some(s))?;
+                            }
+                        }
+                        return Ok(());
+                    }
                 }
             }
-            i += 1;
         }
         Ok(())
     }
@@ -144,28 +187,22 @@ impl TraceBuilder {
     /// states by copying outgoing edges (trace automata tolerate the
     /// duplication; conformance checking is insensitive to it).
     fn resolve(&mut self) -> Result<(), TraceGenError> {
-        // First force every referenced label to have a state.
-        loop {
-            let unresolved =
-                self.pending_gotos
-                    .iter()
-                    .find_map(|(_, _, l)| match self.labels.get(l) {
-                        Some(LabelBinding::State(_)) => None,
-                        Some(LabelBinding::Continuation(_)) => Some(*l),
-                        None => Some(*l),
-                    });
-            let Some(l) = unresolved else { break };
-            match self.labels.remove(&l) {
-                Some(LabelBinding::Continuation(items)) => {
-                    let s = self.ts.add_state();
-                    self.labels.insert(l, LabelBinding::State(s));
-                    self.walk(&items, Some(s))?;
-                }
-                Some(LabelBinding::State(s)) => {
-                    self.labels.insert(l, LabelBinding::State(s));
-                }
-                None => return Err(TraceGenError::UndefinedLabel { label: l }),
-            }
+        // First force every referenced label to have a state. Gotos before
+        // `scan` all reference resolved labels, which stay resolved.
+        let mut scan = 0;
+        while let Some(at) = (scan..self.pending_gotos.len())
+            .find(|&g| self.label_state(self.pending_gotos[g].1).is_none())
+        {
+            scan = at;
+            let l = self.pending_gotos[at].1;
+            let Some(Some(LabelBinding::Continuation(segs))) =
+                self.labels.get_mut(l).map(Option::take)
+            else {
+                return Err(TraceGenError::UndefinedLabel { label: l });
+            };
+            let s = self.ts.add_state();
+            self.bind(l, LabelBinding::State(s));
+            self.walk(&segs, Some(s))?;
         }
         // Merge each goto source with its label state: copy the label
         // state's outgoing edges onto the source, iterating to a fixpoint so
@@ -173,13 +210,7 @@ impl TraceBuilder {
         let pairs: Vec<(usize, usize)> = self
             .pending_gotos
             .iter()
-            .map(|(s, _, l)| {
-                let t = match &self.labels[l] {
-                    LabelBinding::State(t) => *t,
-                    LabelBinding::Continuation(_) => unreachable!("resolved above"),
-                };
-                (*s, t)
-            })
+            .map(|&(s, l)| (s, self.label_state(l).expect("resolved above")))
             .collect();
         loop {
             let before = self.ts.num_transitions();
@@ -250,6 +281,28 @@ mod tests {
         assert_eq!(sym("p_a"), bmbe_trace::Dir::Output);
         assert_eq!(sym("x_r"), bmbe_trace::Dir::Output);
         assert_eq!(sym("x_a"), bmbe_trace::Dir::Input);
+    }
+
+    /// Regression: a program that both drives and receives one wire used
+    /// to panic inside `TraceStructure::add_symbol`; it is a typed error,
+    /// as it already was for `compile_to_bm`.
+    #[test]
+    fn direction_conflict_is_a_typed_error() {
+        let e = crate::parse::parse_ch(
+            "(rep (enc-early (p-to-p passive p) \
+             (seq (p-to-p active a) (p-to-p passive a))))",
+        )
+        .expect("reproducer parses");
+        assert_eq!(
+            trace_of(&e).unwrap_err(),
+            TraceGenError::DirectionConflict {
+                signal: "a_r".into()
+            }
+        );
+        assert!(matches!(
+            crate::compile::compile_to_bm("bad", &e),
+            Err(crate::compile::CompileError::DirectionConflict { .. })
+        ));
     }
 
     #[test]

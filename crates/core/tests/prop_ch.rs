@@ -1,12 +1,16 @@
 //! Property-based tests of the CH language: random Burst-Mode aware
 //! programs must expand, print/parse roundtrip, compile to valid
-//! Burst-Mode machines, and synthesize hazard-free.
+//! Burst-Mode machines, synthesize hazard-free, and generate trace
+//! structures over exactly the compiled machine's signals.
 
+use bmbe_bm::spec::SignalDir;
 use bmbe_bm::synth::{synthesize, MinimizeMode};
 use bmbe_core::ast::{check_bm_aware, ChActivity, ChExpr, InterleaveOp};
 use bmbe_core::compile::compile_to_bm;
 use bmbe_core::expand::expand;
 use bmbe_core::parse::{parse_ch, print_ch};
+use bmbe_core::trace_gen::trace_of;
+use bmbe_trace::Dir;
 use proptest::prelude::*;
 use std::cell::Cell;
 
@@ -113,6 +117,30 @@ proptest! {
         }
         let ctrl = synthesize(&spec, MinimizeMode::Speed).expect("synthesizes");
         prop_assert!(ctrl.verify_ternary().is_ok());
+    }
+
+    /// The CH→BMS compiler and trace generation walk the same interned
+    /// expansion: the trace alphabet must be the machine's signal set, with
+    /// the same directions.
+    #[test]
+    fn trace_alphabet_matches_compiled_signals(e in arb_component()) {
+        let spec = compile_to_bm("prop", &e).expect("compiles");
+        let trace = trace_of(&e).expect("BM-aware programs generate traces");
+        let mut signals: Vec<(String, Dir)> = spec
+            .signals()
+            .iter()
+            .map(|s| {
+                let dir = match s.dir {
+                    SignalDir::Input => Dir::Input,
+                    SignalDir::Output => Dir::Output,
+                };
+                (s.name.clone(), dir)
+            })
+            .collect();
+        let mut symbols = trace.symbols().to_vec();
+        signals.sort();
+        symbols.sort();
+        prop_assert_eq!(symbols, signals);
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! to failure (the module "chokes"); an output symbol with no defined
 //! transition simply cannot be produced.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::fxhash::{hash_of, FxHashMap, HashIndex};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+
+/// An absent entry of a dense table: an undefined transition, an empty
+/// index slot.
+const NONE: u32 = u32::MAX;
 
 /// Direction of a symbol relative to the module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -100,10 +105,17 @@ impl std::error::Error for TraceError {}
 #[derive(Debug, Clone)]
 pub struct TraceStructure {
     symbols: Vec<(String, Dir)>,
-    by_name: HashMap<String, usize>,
+    /// Symbol lookup by name.
+    by_name: HashIndex,
     num_states: usize,
     initial: usize,
-    delta: HashMap<(usize, usize), usize>,
+    /// Width of a transition row, at least the alphabet size.
+    stride: usize,
+    /// Dense transition rows: the successor of `state` on `symbol` is
+    /// `delta[state * stride + symbol]`, [`NONE`] where undefined.
+    delta: Vec<u32>,
+    /// Defined entries of `delta`.
+    transitions: usize,
 }
 
 impl Default for TraceStructure {
@@ -115,12 +127,21 @@ impl Default for TraceStructure {
 impl TraceStructure {
     /// Creates an empty structure with a single initial state.
     pub fn new() -> Self {
+        Self::with_alphabet_capacity(0)
+    }
+
+    /// Creates an empty structure with a single initial state whose
+    /// transition rows are sized for `symbols` symbols up front (a larger
+    /// alphabet still works; the rows are re-laid out as it grows).
+    pub fn with_alphabet_capacity(symbols: usize) -> Self {
         TraceStructure {
             symbols: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: HashIndex::default(),
             num_states: 1,
             initial: 0,
-            delta: HashMap::new(),
+            stride: symbols,
+            delta: vec![NONE; symbols],
+            transitions: 0,
         }
     }
 
@@ -131,7 +152,8 @@ impl TraceStructure {
     /// Panics if the symbol exists with a different direction.
     pub fn add_symbol(&mut self, name: impl Into<String>, dir: Dir) -> usize {
         let name = name.into();
-        if let Some(&i) = self.by_name.get(&name) {
+        let hash = hash_of(name.as_str());
+        if let Some(i) = self.by_name.find(hash, |i| self.symbols[i].0 == name) {
             assert_eq!(
                 self.symbols[i].1, dir,
                 "symbol {name} re-added with different direction"
@@ -139,14 +161,34 @@ impl TraceStructure {
             return i;
         }
         let i = self.symbols.len();
-        self.by_name.insert(name.clone(), i);
+        if i == self.stride {
+            self.widen((2 * self.stride).max(4));
+        }
+        self.by_name.insert(hash);
         self.symbols.push((name, dir));
         i
+    }
+
+    /// Re-lays the transition rows out at a larger width.
+    fn widen(&mut self, stride: usize) {
+        let mut delta = vec![NONE; self.num_states * stride];
+        if self.stride > 0 {
+            for (old, new) in self
+                .delta
+                .chunks_exact(self.stride)
+                .zip(delta.chunks_exact_mut(stride))
+            {
+                new[..self.stride].copy_from_slice(old);
+            }
+        }
+        self.delta = delta;
+        self.stride = stride;
     }
 
     /// Adds a fresh state; returns its index.
     pub fn add_state(&mut self) -> usize {
         self.num_states += 1;
+        self.delta.resize(self.num_states * self.stride, NONE);
         self.num_states - 1
     }
 
@@ -159,7 +201,11 @@ impl TraceStructure {
     /// Defines the transition `from --symbol--> to`.
     pub fn add_transition(&mut self, from: usize, symbol: usize, to: usize) {
         assert!(from < self.num_states && to < self.num_states && symbol < self.symbols.len());
-        self.delta.insert((from, symbol), to);
+        let slot = &mut self.delta[from * self.stride + symbol];
+        if *slot == NONE {
+            self.transitions += 1;
+        }
+        *slot = u32::try_from(to).expect("state index fits the dense rows");
     }
 
     /// The alphabet as `(name, direction)` pairs.
@@ -179,12 +225,13 @@ impl TraceStructure {
 
     /// Looks up a symbol index by name.
     pub fn symbol_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.by_name
+            .find(hash_of(name), |i| self.symbols[i].0 == name)
     }
 
     /// Number of defined transitions.
     pub fn num_transitions(&self) -> usize {
-        self.delta.len()
+        self.transitions
     }
 
     /// Copies every outgoing transition of `from_state` onto `onto`
@@ -192,20 +239,26 @@ impl TraceStructure {
     /// automata from linear expansions). Existing transitions of `onto`
     /// are kept.
     pub fn copy_outgoing(&mut self, from_state: usize, onto: usize) {
-        let copies: Vec<(usize, usize)> = self
-            .delta
-            .iter()
-            .filter(|((s, _), _)| *s == from_state)
-            .map(|((_, sym), t)| (*sym, *t))
-            .collect();
-        for (sym, t) in copies {
-            self.delta.entry((onto, sym)).or_insert(t);
+        let (from, onto) = (from_state * self.stride, onto * self.stride);
+        for sym in 0..self.symbols.len() {
+            let t = self.delta[from + sym];
+            if t != NONE && self.delta[onto + sym] == NONE {
+                self.delta[onto + sym] = t;
+                self.transitions += 1;
+            }
         }
     }
 
+    /// The successor of `state` on `symbol`, if the transition is defined.
+    #[inline]
+    fn next(&self, state: usize, symbol: usize) -> Option<usize> {
+        let t = self.delta[state * self.stride + symbol];
+        (t != NONE).then_some(t as usize)
+    }
+
     fn step(&self, state: usize, symbol: usize) -> Step {
-        match self.delta.get(&(state, symbol)) {
-            Some(&s) => Step::To(s),
+        match self.next(state, symbol) {
+            Some(s) => Step::To(s),
             None => Step::Failure,
         }
     }
@@ -215,7 +268,7 @@ impl TraceStructure {
     fn possible(&self, state: usize, symbol: usize) -> bool {
         match self.symbols[symbol].1 {
             Dir::Input => true,
-            Dir::Output => self.delta.contains_key(&(state, symbol)),
+            Dir::Output => self.next(state, symbol).is_some(),
         }
     }
 
@@ -273,11 +326,11 @@ impl TraceStructure {
             dirs,
             in_a,
             in_b,
-        } = merge_alphabets(&self.symbols, &other.symbols)?;
+        } = merge_alphabets(borrowed(&self.symbols), borrowed(&other.symbols))?;
         // Explore the product.
-        let mut result = TraceStructure::new();
+        let mut result = TraceStructure::with_alphabet_capacity(names.len());
         for (n, d) in names.iter().zip(&dirs) {
-            result.add_symbol(n.clone(), *d);
+            result.add_symbol(*n, *d);
         }
         let mut failure_reachable = false;
         let mut index: HashMap<(usize, usize), usize> = HashMap::new();
@@ -380,7 +433,7 @@ impl TraceStructure {
             let mut stack: Vec<usize> = set.iter().copied().collect();
             while let Some(s) = stack.pop() {
                 for &h in &hide_set {
-                    if let Some(&t) = self.delta.get(&(s, h)) {
+                    if let Some(t) = self.next(s, h) {
                         if set.insert(t) {
                             stack.push(t);
                         }
@@ -392,7 +445,7 @@ impl TraceStructure {
         let visible: Vec<usize> = (0..self.symbols.len())
             .filter(|s| !hide_set.contains(s))
             .collect();
-        let mut out = TraceStructure::new();
+        let mut out = TraceStructure::with_alphabet_capacity(visible.len());
         let mut sym_map: HashMap<usize, usize> = HashMap::new();
         for &s in &visible {
             let (name, dir) = &self.symbols[s];
@@ -484,15 +537,7 @@ impl TraceStructure {
     ///
     /// Returns [`TraceError::AlphabetMismatch`] if alphabets differ.
     pub fn conforms_to_otf(&self, spec: &TraceStructure) -> Result<OtfOutcome, TraceError> {
-        let mut a: Vec<(String, Dir)> = self.symbols.clone();
-        let mut b: Vec<(String, Dir)> = spec.symbols.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TraceError::AlphabetMismatch {
-                detail: format!("{a:?} vs {b:?}"),
-            });
-        }
+        same_alphabet(borrowed(&self.symbols), borrowed(&spec.symbols))?;
         let mut lhs = ConcreteView {
             t: self,
             flip: false,
@@ -548,42 +593,48 @@ pub struct OtfOutcome {
 }
 
 /// The merged alphabet of a composition: composite name/direction tables
-/// plus each side's symbol index for every composite symbol.
-struct MergedAlphabet {
-    names: Vec<String>,
+/// plus each side's symbol index for every composite symbol. Names are
+/// borrowed from the sides.
+struct MergedAlphabet<'n> {
+    names: Vec<&'n str>,
     dirs: Vec<Dir>,
     in_a: Vec<Option<usize>>,
     in_b: Vec<Option<usize>>,
 }
 
+/// A stored alphabet as borrowed `(name, direction)` pairs.
+fn borrowed(symbols: &[(String, Dir)]) -> impl Iterator<Item = (&str, Dir)> {
+    symbols.iter().map(|(n, d)| (n.as_str(), *d))
+}
+
 /// Merges two alphabets under Dill composition rules: shared symbols
 /// synchronize, an output met by an input stays an output of the composite,
 /// two outputs conflict.
-fn merge_alphabets(
-    a: &[(String, Dir)],
-    b: &[(String, Dir)],
-) -> Result<MergedAlphabet, TraceError> {
-    let mut names: Vec<String> = Vec::new();
+fn merge_alphabets<'n>(
+    a: impl IntoIterator<Item = (&'n str, Dir)>,
+    b: impl IntoIterator<Item = (&'n str, Dir)>,
+) -> Result<MergedAlphabet<'n>, TraceError> {
+    let mut names: Vec<&str> = Vec::new();
     let mut dirs: Vec<Dir> = Vec::new();
     let mut in_a: Vec<Option<usize>> = Vec::new();
     let mut in_b: Vec<Option<usize>> = Vec::new();
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    for (ai, (name, dir)) in a.iter().enumerate() {
+    let mut seen: FxHashMap<&str, usize> = FxHashMap::default();
+    for (ai, (name, dir)) in a.into_iter().enumerate() {
         let i = names.len();
-        seen.insert(name.clone(), i);
-        names.push(name.clone());
-        dirs.push(*dir);
+        seen.insert(name, i);
+        names.push(name);
+        dirs.push(dir);
         in_a.push(Some(ai));
         in_b.push(None);
     }
-    for (bi, (name, dir)) in b.iter().enumerate() {
+    for (bi, (name, dir)) in b.into_iter().enumerate() {
         match seen.get(name) {
             Some(&i) => {
                 in_b[i] = Some(bi);
                 match (dirs[i], dir) {
                     (Dir::Output, Dir::Output) => {
                         return Err(TraceError::OutputConflict {
-                            symbol: name.clone(),
+                            symbol: name.to_string(),
                         })
                     }
                     (Dir::Output, Dir::Input) | (Dir::Input, Dir::Output) => dirs[i] = Dir::Output,
@@ -592,9 +643,9 @@ fn merge_alphabets(
             }
             None => {
                 let i = names.len();
-                seen.insert(name.clone(), i);
-                names.push(name.clone());
-                dirs.push(*dir);
+                seen.insert(name, i);
+                names.push(name);
+                dirs.push(dir);
                 in_a.push(None);
                 in_b.push(Some(bi));
             }
@@ -608,18 +659,43 @@ fn merge_alphabets(
     })
 }
 
+/// Conformance requires identical alphabets: the same names with the same
+/// directions, in any order.
+fn same_alphabet<'n>(
+    a: impl Iterator<Item = (&'n str, Dir)>,
+    b: impl Iterator<Item = (&'n str, Dir)>,
+) -> Result<(), TraceError> {
+    let mut a: Vec<(&str, Dir)> = a.collect();
+    let mut b: Vec<(&str, Dir)> = b.collect();
+    a.sort_unstable();
+    b.sort_unstable();
+    if a != b {
+        return Err(TraceError::AlphabetMismatch {
+            detail: format!("{a:?} vs {b:?}"),
+        });
+    }
+    Ok(())
+}
+
+/// A product side's effective alphabet, borrowed.
+fn alphabet<S: ProductSide>(side: &S) -> impl Iterator<Item = (&str, Dir)> {
+    (0..side.symbols()).map(|i| side.symbol(i))
+}
+
 /// One side of a lazily explored product: a concrete structure (possibly
 /// viewed through a mirror) or a lazily determinized hidden composition.
 /// States are side-local `usize` ids; `step` returns `None` on a choke.
 trait ProductSide {
-    /// The side's effective alphabet (mirroring already applied).
-    fn alphabet(&self) -> Vec<(String, Dir)>;
+    /// Size of the side's alphabet.
+    fn symbols(&self) -> usize;
+    /// A symbol of the side's effective alphabet (mirroring already
+    /// applied).
+    fn symbol(&self, sym: usize) -> (&str, Dir);
     /// The side's initial state (may intern lazily).
     fn initial(&mut self) -> usize;
-    /// Receptive possibility: effective inputs always may occur, effective
-    /// outputs only where the side defines a transition.
-    fn possible(&mut self, state: usize, sym: usize) -> bool;
-    /// Takes the symbol; `None` is a choke (no defined transition).
+    /// Takes the symbol; `None` is a choke (no defined transition). For a
+    /// symbol the side drives this is also receptive possibility: an output
+    /// can occur exactly where it is defined.
     fn step(&mut self, state: usize, sym: usize) -> Option<usize>;
 }
 
@@ -642,33 +718,41 @@ impl ConcreteView<'_> {
 }
 
 impl ProductSide for ConcreteView<'_> {
-    fn alphabet(&self) -> Vec<(String, Dir)> {
-        (0..self.t.symbols.len())
-            .map(|i| (self.t.symbols[i].0.clone(), self.dir(i)))
-            .collect()
+    fn symbols(&self) -> usize {
+        self.t.symbols.len()
+    }
+
+    fn symbol(&self, sym: usize) -> (&str, Dir) {
+        (&self.t.symbols[sym].0, self.dir(sym))
     }
 
     fn initial(&mut self) -> usize {
         self.t.initial
     }
 
-    fn possible(&mut self, state: usize, sym: usize) -> bool {
-        match self.dir(sym) {
-            Dir::Input => true,
-            Dir::Output => self.t.delta.contains_key(&(state, sym)),
-        }
-    }
-
     fn step(&mut self, state: usize, sym: usize) -> Option<usize> {
-        self.t.delta.get(&(state, sym)).copied()
+        self.t.next(state, sym)
     }
+}
+
+/// Packs a pair of side-local state ids into one key; packed keys order
+/// like the `(a, b)` pairs themselves.
+#[inline]
+fn pack(a: usize, b: usize) -> u64 {
+    debug_assert!(a <= u32::MAX as usize && b <= u32::MAX as usize);
+    (a as u64) << 32 | b as u64
+}
+
+#[inline]
+fn unpack(p: u64) -> (usize, usize) {
+    ((p >> 32) as usize, (p & 0xffff_ffff) as usize)
 }
 
 /// Lazy failure search over the product of two sides.
 ///
 /// Mirrors [`TraceStructure::compose`]'s semantics exactly — same
 /// producible rule, same both-participants-step rule, a choke on a
-/// composite *output* is the failure — but breadth-first with hash-interned
+/// composite *output* is the failure — but breadth-first with interned
 /// state pairs and parent pointers, stopping at the first failure and
 /// reconstructing a shortest witness trace. Composite transitions are never
 /// stored.
@@ -676,17 +760,30 @@ fn search_failure<A: ProductSide, B: ProductSide>(
     a: &mut A,
     b: &mut B,
 ) -> Result<OtfOutcome, TraceError> {
-    let alpha_a = a.alphabet();
-    let alpha_b = b.alphabet();
+    // The merged alphabet borrows the sides' names; the search keeps only
+    // its index tables and looks a name up again for a witness.
     let MergedAlphabet {
-        names,
-        dirs,
-        in_a,
-        in_b,
-    } = merge_alphabets(&alpha_a, &alpha_b)?;
+        dirs, in_a, in_b, ..
+    } = merge_alphabets(alphabet(a), alphabet(b))?;
+    let name = |a: &A, b: &B, sym: usize| -> String {
+        match (in_a[sym], in_b[sym]) {
+            (Some(s), _) => a.symbol(s).0.to_string(),
+            (None, Some(s)) => b.symbol(s).0.to_string(),
+            (None, None) => unreachable!("every composite symbol has a side"),
+        }
+    };
+    // Whether each side drives each composite symbol.
+    let a_drives: Vec<bool> = in_a
+        .iter()
+        .map(|s| s.is_some_and(|s| a.symbol(s).1 == Dir::Output))
+        .collect();
+    let b_drives: Vec<bool> = in_b
+        .iter()
+        .map(|s| s.is_some_and(|s| b.symbol(s).1 == Dir::Output))
+        .collect();
     let start = (a.initial(), b.initial());
-    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-    index.insert(start, 0);
+    let mut index: FxHashMap<u64, u32> = FxHashMap::default();
+    index.insert(pack(start.0, start.1), 0);
     let mut states: Vec<(usize, usize)> = vec![start];
     let mut parents: Vec<Option<(usize, usize)>> = vec![None];
     let mut head = 0;
@@ -694,34 +791,36 @@ fn search_failure<A: ProductSide, B: ProductSide>(
     while head < states.len() {
         peak_frontier = peak_frontier.max(states.len() - head);
         let (sa, sb) = states[head];
-        for sym in 0..names.len() {
-            let a_sym = in_a[sym];
-            let b_sym = in_b[sym];
+        for sym in 0..dirs.len() {
+            // A side driving the symbol can produce it exactly where it
+            // steps, so its step is also the producibility test; a
+            // receiving side steps only once the symbol is producible.
+            let step_a = |a: &mut A| match in_a[sym] {
+                Some(s) => a.step(sa, s),
+                None => Some(sa),
+            };
+            let step_b = |b: &mut B| match in_b[sym] {
+                Some(s) => b.step(sb, s),
+                None => Some(sb),
+            };
+            let driven_a = a_drives[sym].then(|| step_a(a));
+            let driven_b = b_drives[sym].then(|| step_b(b));
             let producible = match dirs[sym] {
                 Dir::Input => true,
                 Dir::Output => {
-                    let a_out = a_sym
-                        .is_some_and(|s| alpha_a[s].1 == Dir::Output && a.possible(sa, s));
-                    let b_out = b_sym
-                        .is_some_and(|s| alpha_b[s].1 == Dir::Output && b.possible(sb, s));
-                    a_out || b_out
+                    matches!(driven_a, Some(Some(_))) || matches!(driven_b, Some(Some(_)))
                 }
             };
             if !producible {
                 continue;
             }
-            let na = match a_sym {
-                Some(s) => a.step(sa, s),
-                None => Some(sa),
-            };
-            let nb = match b_sym {
-                Some(s) => b.step(sb, s),
-                None => Some(sb),
-            };
+            let na = driven_a.unwrap_or_else(|| step_a(a));
+            let nb = driven_b.unwrap_or_else(|| step_b(b));
             match (na, nb) {
                 (Some(na), Some(nb)) => {
-                    if let std::collections::hash_map::Entry::Vacant(e) = index.entry((na, nb)) {
-                        e.insert(states.len());
+                    if let std::collections::hash_map::Entry::Vacant(e) = index.entry(pack(na, nb))
+                    {
+                        e.insert(states.len() as u32);
                         states.push((na, nb));
                         parents.push(Some((head, sym)));
                     }
@@ -731,10 +830,10 @@ fn search_failure<A: ProductSide, B: ProductSide>(
                     // the composite (no successor); a choke on a produced
                     // symbol is the reachable failure we are looking for.
                     if dirs[sym] == Dir::Output {
-                        let mut trace = vec![names[sym].clone()];
+                        let mut trace = vec![name(a, b, sym)];
                         let mut at = head;
                         while let Some((p, s)) = parents[at] {
-                            trace.push(names[s].clone());
+                            trace.push(name(a, b, s));
                             at = p;
                         }
                         trace.reverse();
@@ -758,29 +857,43 @@ fn search_failure<A: ProductSide, B: ProductSide>(
     })
 }
 
+/// Memo entry of a transition not computed yet.
+const UNKNOWN: u32 = u32::MAX;
+/// Memo entry of a transition the hidden automaton leaves undefined.
+const DROPPED: u32 = u32::MAX - 1;
+
 /// A lazily determinized hidden composition: the automaton
 /// `hide(compose(a, b), hidden)` explored on demand.
 ///
-/// States are ε-closed subsets of composite state pairs, hash-interned the
+/// States are ε-closed subsets of composite state pairs, interned the
 /// first time a conformance search reaches them; transitions are memoized
-/// and shared across every search run against the same value. Nothing of
-/// the composite — neither its state table nor its transitions — is ever
-/// materialized, which is where the on-the-fly verification path saves its
-/// states over the `compose` + `hide` pipeline.
+/// in one dense row per subset and shared across every search run against
+/// the same value. Nothing of the composite — neither its state table nor
+/// its transitions — is ever materialized, which is where the on-the-fly
+/// verification path saves its states over the `compose` + `hide` pipeline.
 pub struct HiddenComposition<'a> {
     a: &'a TraceStructure,
     b: &'a TraceStructure,
-    names: Vec<String>,
+    names: Vec<&'a str>,
     dirs: Vec<Dir>,
     in_a: Vec<Option<usize>>,
     in_b: Vec<Option<usize>>,
     hidden: Vec<usize>,
     /// Visible composite symbols, as `(composite index, name, dir)`.
-    visible: Vec<(usize, String, Dir)>,
-    subsets: Vec<BTreeSet<(usize, usize)>>,
-    subset_index: HashMap<BTreeSet<(usize, usize)>, usize>,
-    memo: HashMap<(usize, usize), Option<usize>>,
+    visible: Vec<(usize, &'a str, Dir)>,
+    /// Members of every subset, each a sorted run of [`pack`]ed pairs;
+    /// subset `i` is `members[starts[i]..starts[i + 1]]`.
+    members: Vec<u64>,
+    starts: Vec<usize>,
+    /// Subset lookup by members.
+    subset_index: HashIndex,
+    /// Memoized transitions, one row of `visible.len()` entries per subset:
+    /// the successor subset, [`UNKNOWN`] or [`DROPPED`].
+    memo: Vec<u32>,
     initial: Option<usize>,
+    /// Scratch buffers of the ε-closure.
+    next: Vec<u64>,
+    stack: Vec<u64>,
     /// First composite failure (a produced symbol choking a receiver)
     /// encountered while stepping members — the lazy counterpart of
     /// `compose`'s `failure_reachable` flag. Interior-mutable because it is
@@ -808,7 +921,7 @@ impl<'a> HiddenComposition<'a> {
             dirs,
             in_a,
             in_b,
-        } = merge_alphabets(&a.symbols, &b.symbols)?;
+        } = merge_alphabets(borrowed(&a.symbols), borrowed(&b.symbols))?;
         let mut hide_set = BTreeSet::new();
         for name in hidden {
             let i = names.iter().position(|n| n == name).ok_or_else(|| {
@@ -827,7 +940,7 @@ impl<'a> HiddenComposition<'a> {
             .iter()
             .enumerate()
             .filter(|(i, _)| !hide_set.contains(i))
-            .map(|(i, n)| (i, n.clone(), dirs[i]))
+            .map(|(i, &n)| (i, n, dirs[i]))
             .collect();
         Ok(HiddenComposition {
             a,
@@ -838,10 +951,13 @@ impl<'a> HiddenComposition<'a> {
             in_b,
             hidden: hide_set.into_iter().collect(),
             visible,
-            subsets: Vec::new(),
-            subset_index: HashMap::new(),
-            memo: HashMap::new(),
+            members: Vec::new(),
+            starts: vec![0],
+            subset_index: HashIndex::default(),
+            memo: Vec::new(),
             initial: None,
+            next: Vec::new(),
+            stack: Vec::new(),
             comp_failure: std::cell::RefCell::new(None),
         })
     }
@@ -865,13 +981,13 @@ impl<'a> HiddenComposition<'a> {
     pub fn symbols(&self) -> Vec<(String, Dir)> {
         self.visible
             .iter()
-            .map(|(_, n, d)| (n.clone(), *d))
+            .map(|&(_, n, d)| (n.to_string(), d))
             .collect()
     }
 
     /// Number of subset states materialized so far.
     pub fn subset_states(&self) -> usize {
-        self.subsets.len()
+        self.starts.len() - 1
     }
 
     /// On-the-fly conformance `hide(a ∥ b) ≤ spec`.
@@ -915,63 +1031,37 @@ impl<'a> HiddenComposition<'a> {
     }
 
     fn check_alphabet(&self, spec: &TraceStructure) -> Result<(), TraceError> {
-        let mut a = self.symbols();
-        let mut b: Vec<(String, Dir)> = spec.symbols.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Err(TraceError::AlphabetMismatch {
-                detail: format!("{a:?} vs {b:?}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Whether the composite symbol can occur at the member pair: the same
-    /// producible rule as [`TraceStructure::compose`], with "the transition
-    /// is defined" meaning both participants step.
-    fn comp_possible(&self, sa: usize, sb: usize, sym: usize) -> bool {
-        match self.dirs[sym] {
-            Dir::Input => true,
-            Dir::Output => self.comp_step(sa, sb, sym).is_some(),
-        }
+        same_alphabet(
+            self.visible.iter().map(|&(_, n, d)| (n, d)),
+            borrowed(&spec.symbols),
+        )
     }
 
     /// The composite transition at a member pair, `None` where the
     /// materialized composite would leave it undefined (not producible, or
-    /// a participant chokes).
+    /// a participant chokes). For a composite output this is also
+    /// [`TraceStructure::compose`]'s producible rule, with "the transition
+    /// is defined" meaning both participants step.
     fn comp_step(&self, sa: usize, sb: usize, sym: usize) -> Option<(usize, usize)> {
         let a_sym = self.in_a[sym];
         let b_sym = self.in_b[sym];
-        let producible = match self.dirs[sym] {
-            Dir::Input => true,
-            Dir::Output => {
-                let a_out = a_sym.is_some_and(|s| {
-                    self.a.symbols[s].1 == Dir::Output && self.a.possible(sa, s)
-                });
-                let b_out = b_sym.is_some_and(|s| {
-                    self.b.symbols[s].1 == Dir::Output && self.b.possible(sb, s)
-                });
-                a_out || b_out
-            }
-        };
-        if !producible {
-            return None;
-        }
         let na = match a_sym {
-            Some(s) => match self.a.step(sa, s) {
-                Step::To(t) => Some(t),
-                Step::Failure => None,
-            },
+            Some(s) => self.a.next(sa, s),
             None => Some(sa),
         };
         let nb = match b_sym {
-            Some(s) => match self.b.step(sb, s) {
-                Step::To(t) => Some(t),
-                Step::Failure => None,
-            },
+            Some(s) => self.b.next(sb, s),
             None => Some(sb),
         };
+        // A composite output is producible where a participant driving it
+        // steps (outputs are possible exactly where defined).
+        if self.dirs[sym] == Dir::Output {
+            let a_out = na.is_some() && a_sym.is_some_and(|s| self.a.symbols[s].1 == Dir::Output);
+            let b_out = nb.is_some() && b_sym.is_some_and(|s| self.b.symbols[s].1 == Dir::Output);
+            if !(a_out || b_out) {
+                return None;
+            }
+        }
         match (na, nb) {
             (Some(na), Some(nb)) => Some((na, nb)),
             _ => {
@@ -981,46 +1071,63 @@ impl<'a> HiddenComposition<'a> {
                 if self.dirs[sym] == Dir::Output {
                     self.comp_failure
                         .borrow_mut()
-                        .get_or_insert_with(|| self.names[sym].clone());
+                        .get_or_insert_with(|| self.names[sym].to_string());
                 }
                 None
             }
         }
     }
 
-    /// ε-closure over the hidden (defined) composite transitions.
-    fn closure(&self, seed: BTreeSet<(usize, usize)>) -> BTreeSet<(usize, usize)> {
-        let mut set = seed;
-        let mut stack: Vec<(usize, usize)> = set.iter().copied().collect();
-        while let Some((sa, sb)) = stack.pop() {
-            for hi in 0..self.hidden.len() {
-                let h = self.hidden[hi];
-                if let Some(t) = self.comp_step(sa, sb, h) {
-                    if set.insert(t) {
+    /// ε-closure over the hidden (defined) composite transitions of the
+    /// sorted, duplicate-free member set in `self.next`, left there sorted.
+    /// Members are expanded depth-first from the largest, in the order a
+    /// stack seeded with the ascending set pops them.
+    fn close_next(&mut self) {
+        let mut set = std::mem::take(&mut self.next);
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.extend_from_slice(&set);
+        while let Some(p) = stack.pop() {
+            let (sa, sb) = unpack(p);
+            for &h in &self.hidden {
+                if let Some((ta, tb)) = self.comp_step(sa, sb, h) {
+                    let t = pack(ta, tb);
+                    if let Err(at) = set.binary_search(&t) {
+                        set.insert(at, t);
                         stack.push(t);
                     }
                 }
             }
         }
-        set
+        self.next = set;
+        self.stack = stack;
     }
 
-    fn intern(&mut self, set: BTreeSet<(usize, usize)>) -> usize {
-        if let Some(&i) = self.subset_index.get(&set) {
+    /// Interns the closed subset in `self.next`; returns its id.
+    fn intern_next(&mut self) -> usize {
+        let hash = hash_of(self.next.as_slice());
+        let (members, starts, next) = (&self.members, &self.starts, &self.next);
+        if let Some(i) = self
+            .subset_index
+            .find(hash, |i| members[starts[i]..starts[i + 1]] == next[..])
+        {
             return i;
         }
-        let i = self.subsets.len();
-        self.subset_index.insert(set.clone(), i);
-        self.subsets.push(set);
-        i
+        self.members.extend_from_slice(&self.next);
+        self.starts.push(self.members.len());
+        self.memo
+            .resize(self.memo.len() + self.visible.len(), UNKNOWN);
+        self.subset_index.insert(hash)
     }
 
     fn initial_subset(&mut self) -> usize {
         if let Some(i) = self.initial {
             return i;
         }
-        let start = self.closure(BTreeSet::from([(self.a.initial, self.b.initial)]));
-        let i = self.intern(start);
+        self.next.clear();
+        self.next.push(pack(self.a.initial, self.b.initial));
+        self.close_next();
+        let i = self.intern_next();
         self.initial = Some(i);
         i
     }
@@ -1029,27 +1136,37 @@ impl<'a> HiddenComposition<'a> {
     /// `None` exactly where the materialized `hide` would drop the edge
     /// (no member admits the symbol, or every admitting member chokes).
     fn resolve(&mut self, state: usize, vis: usize) -> Option<usize> {
-        if let Some(&r) = self.memo.get(&(state, vis)) {
-            return r;
+        let slot = state * self.visible.len() + vis;
+        match self.memo[slot] {
+            UNKNOWN => {}
+            DROPPED => return None,
+            r => return Some(r as usize),
         }
         let sym = self.visible[vis].0;
+        let input = self.dirs[sym] == Dir::Input;
         let mut any_possible = false;
-        let mut next = BTreeSet::new();
-        for &(sa, sb) in &self.subsets[state] {
-            if self.comp_possible(sa, sb, sym) {
-                any_possible = true;
-                if let Some(t) = self.comp_step(sa, sb, sym) {
-                    next.insert(t);
-                }
+        let mut next = std::mem::take(&mut self.next);
+        next.clear();
+        for &p in &self.members[self.starts[state]..self.starts[state + 1]] {
+            let (sa, sb) = unpack(p);
+            // An input is possible at every member; an output exactly
+            // where the composite step is defined.
+            let step = self.comp_step(sa, sb, sym);
+            any_possible |= input || step.is_some();
+            if let Some((ta, tb)) = step {
+                next.push(pack(ta, tb));
             }
         }
-        let r = if !any_possible || next.is_empty() {
+        self.next = next;
+        let r = if !any_possible || self.next.is_empty() {
             None
         } else {
-            let closed = self.closure(next);
-            Some(self.intern(closed))
+            self.next.sort_unstable();
+            self.next.dedup();
+            self.close_next();
+            Some(self.intern_next())
         };
-        self.memo.insert((state, vis), r);
+        self.memo[slot] = r.map_or(DROPPED, |i| i as u32);
         r
     }
 }
@@ -1062,25 +1179,17 @@ struct HiddenSide<'h, 'a> {
 }
 
 impl ProductSide for HiddenSide<'_, '_> {
-    fn alphabet(&self) -> Vec<(String, Dir)> {
-        self.h
-            .visible
-            .iter()
-            .map(|(_, n, d)| (n.clone(), if self.flip { d.flip() } else { *d }))
-            .collect()
+    fn symbols(&self) -> usize {
+        self.h.visible.len()
+    }
+
+    fn symbol(&self, sym: usize) -> (&str, Dir) {
+        let (_, name, d) = self.h.visible[sym];
+        (name, if self.flip { d.flip() } else { d })
     }
 
     fn initial(&mut self) -> usize {
         self.h.initial_subset()
-    }
-
-    fn possible(&mut self, state: usize, sym: usize) -> bool {
-        let d = self.h.visible[sym].2;
-        let d = if self.flip { d.flip() } else { d };
-        match d {
-            Dir::Input => true,
-            Dir::Output => self.h.resolve(state, sym).is_some(),
-        }
     }
 
     fn step(&mut self, state: usize, sym: usize) -> Option<usize> {

@@ -15,5 +15,6 @@
 //! hiding or re-composing a composite — a composite carrying failures has
 //! them represented only by that flag.
 pub mod automaton;
+pub mod fxhash;
 
 pub use automaton::{Composite, Dir, HiddenComposition, OtfOutcome, TraceError, TraceStructure};

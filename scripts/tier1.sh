@@ -3,7 +3,9 @@
 #
 #   1. release build + full test suite (the hard acceptance floor);
 #   2. every bench binary builds in release (table/figure regeneration
-#      and the obs_report smoke binary);
+#      and the obs_report smoke binary), and every bench target of
+#      bmbe-bench compiles (`cargo bench --no-run`), so the kernel benches
+#      cannot rot unnoticed;
 #   3. bmbe-obs builds clean under -D warnings (new crate, zero-warning
 #      policy);
 #   4. obs_report --check: runs a traced Stack flow + sim + verification
@@ -58,6 +60,7 @@ cargo test -q
 
 echo "== tier1: bench binaries =="
 cargo build --release -p bmbe-bench --bins
+cargo bench --no-run -p bmbe-bench
 
 echo "== tier1: bmbe-obs deny-warnings =="
 cargo rustc -p bmbe-obs --release -- -D warnings
