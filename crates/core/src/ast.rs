@@ -254,7 +254,7 @@ impl ChExpr {
     /// Appends every channel mention, in program order, as borrowed
     /// `(name, activity)` pairs; a later mention of a name overrides an
     /// earlier one in [`channels`](Self::channels).
-    pub fn channel_mentions<'a>(&'a self, out: &mut Vec<(&'a str, ChActivity)>) {
+    pub(crate) fn channel_mentions<'a>(&'a self, out: &mut Vec<(&'a str, ChActivity)>) {
         match self {
             ChExpr::PToP { activity, name }
             | ChExpr::MultAck { activity, name, .. }

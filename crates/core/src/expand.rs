@@ -90,11 +90,6 @@ impl Expansion {
         (a, self.wires)
     }
 
-    /// The name of an interned wire.
-    pub fn signal(&self, wire: usize) -> &str {
-        &self.wires[wire]
-    }
-
     /// The transitions of the expansion in linear order, descending into
     /// choices.
     pub fn transitions(&self) -> Vec<Transition<'_>> {
@@ -708,7 +703,7 @@ mod tests {
                 let names: Vec<&str> = arms[0]
                     .iter()
                     .filter_map(|i| match i {
-                        Item::T(t) => Some(e.signal(t.wire)),
+                        Item::T(t) => Some(e.wires[t.wire].as_str()),
                         _ => None,
                     })
                     .collect();

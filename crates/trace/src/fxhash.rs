@@ -6,7 +6,7 @@
 //! names of one program. This is the rotate-xor-multiply word hash of the
 //! Firefox/rustc "FxHash" family, processing eight bytes per step.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -68,9 +68,6 @@ impl Hasher for FxHasher {
 /// `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` keyed through [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
 /// The [`FxHasher`] hash of a value.
 pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = FxHasher::default();
@@ -122,16 +119,6 @@ impl HashIndex {
         self.older
             .push(self.heads.insert(hash, key).unwrap_or(Self::END));
         id
-    }
-
-    /// Number of ids registered.
-    pub fn len(&self) -> usize {
-        self.older.len()
-    }
-
-    /// Whether no id is registered.
-    pub fn is_empty(&self) -> bool {
-        self.older.is_empty()
     }
 }
 
