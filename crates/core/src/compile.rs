@@ -11,7 +11,7 @@
 //! return arcs).
 
 use crate::ast::ChExpr;
-use crate::expand::{expand_linear, rest_after, ExpandError, Io, Item};
+use crate::expand::{expand_linear, for_each_arm, ExpandError, Io, Item, Labels};
 use bmbe_bm::spec::{BmError, BmSpec, SignalDir};
 use std::fmt;
 
@@ -104,26 +104,10 @@ impl From<BmError> for CompileError {
 /// ```
 pub fn compile_to_bm(name: &str, expr: &ChExpr) -> Result<BmSpec, CompileError> {
     let (items, wires) = expand_linear(expr)?;
-    compile_items(name, &items, wires)
-}
-
-/// Compiles an already-linearized intermediate form whose transitions index
-/// the wire table `wires` (see [`Expansion::into_linear`]); the names of
-/// the wires the machine uses move into its signal table.
-///
-/// [`Expansion::into_linear`]: crate::expand::Expansion::into_linear
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn compile_items(
-    name: &str,
-    items: &[Item],
-    wires: Vec<String>,
-) -> Result<BmSpec, CompileError> {
+    // The names of the wires the machine uses move into its signal table.
     let mut b = Builder::new(wires, items.len());
     let start = b.fresh_state();
-    b.walk(&[items], Some(Cursor::at(start)))?;
+    b.walk(&[&items], Some(Cursor::at(start)))?;
     b.resolve_all()?;
     b.finish(name, start)
 }
@@ -178,14 +162,6 @@ impl PendingArc {
     }
 }
 
-/// What a label stands for: a state, or the not-yet-compiled rest of the
-/// stream after it, kept as borrowed segments of the linear form.
-#[derive(Debug)]
-enum Binding<'e> {
-    State(usize),
-    Continuation(Vec<&'e [Item]>),
-}
-
 struct Builder<'e> {
     wires: Vec<String>,
     /// The spec signal of each wire, [`NONE`] until the walk meets it.
@@ -196,8 +172,7 @@ struct Builder<'e> {
     arcs: Vec<PendingArc>,
     /// The bursts of every pending arc, back to back.
     bursts: Burst,
-    /// Label bindings, indexed by label id.
-    labels: Vec<Option<Binding<'e>>>,
+    labels: Labels<'e>,
     /// Outputs that lead a label's continuation (a loop head that re-emits
     /// a request); appended to every arc entering that label. Indexed by
     /// label id.
@@ -216,7 +191,7 @@ impl<'e> Builder<'e> {
             num_states: 0,
             arcs: Vec::with_capacity(items / 2),
             bursts: Vec::with_capacity(items),
-            labels: Vec::new(),
+            labels: Labels::default(),
             label_prefix: Vec::new(),
             merge_parent: Vec::with_capacity(items / 2),
         }
@@ -242,25 +217,6 @@ impl<'e> Builder<'e> {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.merge_parent[ra.max(rb)] = ra.min(rb);
-        }
-    }
-
-    fn label(&self, l: usize) -> Option<&Binding<'e>> {
-        self.labels.get(l).and_then(Option::as_ref)
-    }
-
-    fn bind(&mut self, l: usize, binding: Binding<'e>) {
-        if self.labels.len() <= l {
-            self.labels.resize_with(l + 1, || None);
-        }
-        self.labels[l] = Some(binding);
-    }
-
-    /// The state a label is bound to, if it is bound to one.
-    fn label_state(&self, l: usize) -> Option<usize> {
-        match self.label(l) {
-            Some(Binding::State(s)) => Some(*s),
-            _ => None,
         }
     }
 
@@ -346,19 +302,18 @@ impl<'e> Builder<'e> {
                         }
                     }
                     Item::Label(l) => {
-                        if self.label(*l).is_none() {
-                            let binding = match &cur {
-                                Some(c) if c.at_boundary() => Binding::State(c.state),
-                                _ => Binding::Continuation(rest_after(segs, k, i + 1)),
-                            };
-                            self.bind(*l, binding);
+                        if !self.labels.is_bound(*l) {
+                            match &cur {
+                                Some(c) if c.at_boundary() => self.labels.bind_state(*l, c.state),
+                                _ => self.labels.bind_continuation(*l, segs, k, i),
+                            }
                         }
                     }
                     Item::Goto(l) | Item::BGoto(l) => {
                         if let Some(c) = cur.take() {
                             if c.at_boundary() {
                                 // At a state boundary: the jump aliases states.
-                                match self.label_state(*l) {
+                                match self.labels.state(*l) {
                                     Some(s) => self.merge(c.state, s),
                                     // An empty-burst arc is not representable;
                                     // defer the alias to label resolution.
@@ -380,12 +335,9 @@ impl<'e> Builder<'e> {
                             if !c.pout.is_empty() {
                                 self.advance(&mut c);
                             }
-                            let mut stream = rest_after(segs, k, i + 1);
-                            stream.insert(0, &[]);
-                            for arm in arms {
-                                stream[0] = arm;
-                                self.walk(&stream, Some(c.clone()))?;
-                            }
+                            for_each_arm(segs, k, i, arms, |stream| {
+                                self.walk(stream, Some(c.clone()))
+                            })?;
                         }
                         return Ok(());
                     }
@@ -409,16 +361,14 @@ impl<'e> Builder<'e> {
         // label stays resolved, so each search resumes where the last ended.
         let mut scan = 0;
         while let Some(at) = (scan..self.arcs.len()).find(|&ai| match self.arcs[ai].to {
-            ToRef::Label(l) => self.label_state(l).is_none(),
+            ToRef::Label(l) => self.labels.state(l).is_none(),
             ToRef::State(_) => false,
         }) {
             scan = at;
             let ToRef::Label(l) = self.arcs[at].to else {
                 unreachable!("found a label arc")
             };
-            let Some(Binding::Continuation(mut segs)) =
-                self.labels.get_mut(l).and_then(Option::take)
-            else {
+            let Some(mut segs) = self.labels.take_continuation(l) else {
                 return Err(CompileError::UndefinedLabel { label: l });
             };
             // Leading output transitions of a loop-head continuation
@@ -446,7 +396,7 @@ impl<'e> Builder<'e> {
                 self.label_prefix[l] = prefix;
             }
             let s = self.fresh_state();
-            self.bind(l, Binding::State(s));
+            self.labels.bind_state(l, s);
             self.walk(&segs, Some(Cursor::at(s)))?;
         }
         // Apply state aliases created by empty-burst gotos to labels.
@@ -466,7 +416,8 @@ impl<'e> Builder<'e> {
         match to {
             ToRef::State(s) => Ok(s),
             ToRef::Label(l) => self
-                .label_state(l)
+                .labels
+                .state(l)
                 .ok_or(CompileError::UndefinedLabel { label: l }),
         }
     }

@@ -74,13 +74,7 @@ pub struct Expansion {
 
 impl Expansion {
     /// Concatenates the four events into the linear intermediate form of
-    /// §3.6. The wire table stays with the expansion; see
-    /// [`into_linear`](Self::into_linear) to keep both.
-    pub fn linearize(self) -> Vec<Item> {
-        self.into_linear().0
-    }
-
-    /// The linear intermediate form together with its wire table.
+    /// §3.6, returned together with the wire table its transitions index.
     pub fn into_linear(self) -> (Vec<Item>, Vec<String>) {
         let [mut a, b, c, d] = self.events;
         a.reserve(b.len() + c.len() + d.len());
@@ -189,14 +183,93 @@ pub(crate) fn expand_linear(expr: &ChExpr) -> Result<(Vec<Item>, Vec<String>), E
     Ok((ctx.flatten(linear), ctx.wires))
 }
 
-/// The rest of a stream given as consecutive segments of the linear form,
-/// after item `i` of segment `k`. The walkers resume with it after a label
-/// or a choice, borrowing the linear form instead of copying its tail.
-pub(crate) fn rest_after<'e>(segs: &[&'e [Item]], k: usize, i: usize) -> Vec<&'e [Item]> {
+// The walkers over the linear form (the CH→BMS compiler and trace
+// generation) take a stream as consecutive segments of it, so a label
+// continuation or a choice arm followed by the rest of the program borrows
+// the linear form instead of copying its tail.
+
+/// The rest of a stream given as segments, after item `i` of segment `k`.
+fn rest_after<'e>(segs: &[&'e [Item]], k: usize, i: usize) -> Vec<&'e [Item]> {
     let mut rest = Vec::with_capacity(segs.len() - k + 1);
     rest.push(&segs[k][i..]);
     rest.extend_from_slice(&segs[k + 1..]);
     rest
+}
+
+/// Walks each arm of the choice at item `i` of segment `k`: `walk` gets
+/// the arm followed by the rest of the stream after the choice.
+pub(crate) fn for_each_arm<'e, E>(
+    segs: &[&'e [Item]],
+    k: usize,
+    i: usize,
+    arms: &'e [Vec<Item>],
+    mut walk: impl FnMut(&[&'e [Item]]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut stream = Vec::with_capacity(segs.len() - k + 2);
+    stream.push(&[][..]);
+    stream.push(&segs[k][i + 1..]);
+    stream.extend_from_slice(&segs[k + 1..]);
+    for arm in arms {
+        stream[0] = arm;
+        walk(&stream)?;
+    }
+    Ok(())
+}
+
+/// What a label stands for in a walker's output: a state, or the
+/// not-yet-walked rest of the stream after the label.
+#[derive(Debug)]
+enum Binding<'e> {
+    State(usize),
+    Continuation(Vec<&'e [Item]>),
+}
+
+/// A walker's label table, indexed by label id.
+#[derive(Debug, Default)]
+pub(crate) struct Labels<'e> {
+    slots: Vec<Option<Binding<'e>>>,
+}
+
+impl<'e> Labels<'e> {
+    /// Whether label `l` has been bound (to a state or a continuation).
+    pub(crate) fn is_bound(&self, l: usize) -> bool {
+        self.slots.get(l).is_some_and(Option::is_some)
+    }
+
+    /// The state label `l` is bound to, if it is bound to one.
+    pub(crate) fn state(&self, l: usize) -> Option<usize> {
+        match self.slots.get(l) {
+            Some(Some(Binding::State(s))) => Some(*s),
+            _ => None,
+        }
+    }
+
+    /// Binds label `l` to a state.
+    pub(crate) fn bind_state(&mut self, l: usize, state: usize) {
+        self.bind(l, Binding::State(state));
+    }
+
+    /// Binds label `l`, found at item `i` of segment `k`, to the stream
+    /// after it.
+    pub(crate) fn bind_continuation(&mut self, l: usize, segs: &[&'e [Item]], k: usize, i: usize) {
+        self.bind(l, Binding::Continuation(rest_after(segs, k, i + 1)));
+    }
+
+    fn bind(&mut self, l: usize, binding: Binding<'e>) {
+        if self.slots.len() <= l {
+            self.slots.resize_with(l + 1, || None);
+        }
+        self.slots[l] = Some(binding);
+    }
+
+    /// Takes the continuation of label `l`, which has no state yet, to
+    /// walk it; `None` when `l` was never bound.
+    pub(crate) fn take_continuation(&mut self, l: usize) -> Option<Vec<&'e [Item]>> {
+        match self.slots.get_mut(l).and_then(Option::take) {
+            Some(Binding::Continuation(segs)) => Some(segs),
+            _ => None,
+        }
+    }
 }
 
 /// The end of a chain.
@@ -635,7 +708,7 @@ mod tests {
     #[test]
     fn rep_wraps_with_label_and_goto() {
         let e = expand(&ChExpr::Rep(Box::new(ChExpr::passive("p")))).unwrap();
-        let items = e.linearize();
+        let (items, _) = e.into_linear();
         assert!(matches!(items[0], Item::Label(_)));
         assert!(matches!(items[items.len() - 1], Item::Label(_)));
         assert!(items.iter().any(|i| matches!(i, Item::Goto(_))));
@@ -652,8 +725,8 @@ mod tests {
             ChExpr::passive("p"),
             ChExpr::Break,
         )));
-        let e = expand(&ok).unwrap();
-        assert!(e.linearize().iter().any(|i| matches!(i, Item::BGoto(_))));
+        let (items, _) = expand(&ok).unwrap().into_linear();
+        assert!(items.iter().any(|i| matches!(i, Item::BGoto(_))));
     }
 
     #[test]
@@ -678,8 +751,8 @@ mod tests {
         // (enc-early void (seq c1 c2)) linearizes exactly like the seq.
         let seq = ChExpr::op(Seq, ChExpr::active("c1"), ChExpr::active("c2"));
         let enclosed = ChExpr::op(EncEarly, ChExpr::Void, seq.clone());
-        let a = expand(&enclosed).unwrap().linearize();
-        let b = expand(&seq).unwrap().linearize();
+        let a = expand(&enclosed).unwrap().into_linear();
+        let b = expand(&seq).unwrap().into_linear();
         assert_eq!(a, b);
     }
 

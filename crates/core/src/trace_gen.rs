@@ -9,7 +9,7 @@
 //! position), choices branch, and gotos loop.
 
 use crate::ast::ChExpr;
-use crate::expand::{expand_linear, rest_after, ExpandError, Io, Item};
+use crate::expand::{expand_linear, for_each_arm, ExpandError, Io, Item, Labels};
 use bmbe_trace::{Dir, TraceStructure};
 
 /// Errors raised during trace generation.
@@ -65,7 +65,7 @@ pub fn trace_of(expr: &ChExpr) -> Result<TraceStructure, TraceGenError> {
         ts: TraceStructure::with_alphabet_capacity(wires.len()),
         symbol_of: vec![NONE; wires.len()],
         wires: &wires,
-        labels: Vec::new(),
+        labels: Labels::default(),
         pending_gotos: Vec::new(),
     };
     let start = b.ts.initial();
@@ -74,39 +74,18 @@ pub fn trace_of(expr: &ChExpr) -> Result<TraceStructure, TraceGenError> {
     Ok(b.ts)
 }
 
-enum LabelBinding<'e> {
-    State(usize),
-    /// The rest of the stream after the label, as borrowed segments.
-    Continuation(Vec<&'e [Item]>),
-}
-
 struct TraceBuilder<'e> {
     ts: TraceStructure,
     /// The symbol of each wire, [`NONE`] until the walk meets it.
     symbol_of: Vec<usize>,
     wires: &'e [String],
-    /// Label bindings, indexed by label id.
-    labels: Vec<Option<LabelBinding<'e>>>,
+    labels: Labels<'e>,
     /// `(from_state, label)` pairs awaiting label resolution: the goto
     /// source is aliased to the label's state.
     pending_gotos: Vec<(usize, usize)>,
 }
 
 impl<'e> TraceBuilder<'e> {
-    fn label_state(&self, l: usize) -> Option<usize> {
-        match self.labels.get(l) {
-            Some(Some(LabelBinding::State(s))) => Some(*s),
-            _ => None,
-        }
-    }
-
-    fn bind(&mut self, l: usize, binding: LabelBinding<'e>) {
-        if self.labels.len() <= l {
-            self.labels.resize_with(l + 1, || None);
-        }
-        self.labels[l] = Some(binding);
-    }
-
     fn symbol(&mut self, wire: usize, dir: Dir) -> Result<usize, TraceGenError> {
         let sym = self.symbol_of[wire];
         if sym == NONE {
@@ -144,14 +123,13 @@ impl<'e> TraceBuilder<'e> {
                         }
                     }
                     Item::Label(l) => {
-                        match (self.labels.get(*l).is_some_and(Option::is_some), cur) {
-                            (false, Some(s)) => self.bind(*l, LabelBinding::State(s)),
-                            (false, None) => self
-                                .bind(*l, LabelBinding::Continuation(rest_after(segs, k, i + 1))),
+                        match (self.labels.is_bound(*l), cur) {
+                            (false, Some(s)) => self.labels.bind_state(*l, s),
+                            (false, None) => self.labels.bind_continuation(*l, segs, k, i),
                             // Re-encountered label while live: alias the current
                             // state with the label's.
                             (true, Some(s)) => {
-                                if self.label_state(*l).is_some_and(|t| t != s) {
+                                if self.labels.state(*l).is_some_and(|t| t != s) {
                                     self.pending_gotos.push((s, *l));
                                 }
                             }
@@ -168,12 +146,7 @@ impl<'e> TraceBuilder<'e> {
                     }
                     Item::Choice(arms) => {
                         if let Some(s) = cur {
-                            let mut stream = rest_after(segs, k, i + 1);
-                            stream.insert(0, &[]);
-                            for arm in arms {
-                                stream[0] = arm;
-                                self.walk(&stream, Some(s))?;
-                            }
+                            for_each_arm(segs, k, i, arms, |stream| self.walk(stream, Some(s)))?;
                         }
                         return Ok(());
                     }
@@ -191,17 +164,15 @@ impl<'e> TraceBuilder<'e> {
         // `scan` all reference resolved labels, which stay resolved.
         let mut scan = 0;
         while let Some(at) = (scan..self.pending_gotos.len())
-            .find(|&g| self.label_state(self.pending_gotos[g].1).is_none())
+            .find(|&g| self.labels.state(self.pending_gotos[g].1).is_none())
         {
             scan = at;
             let l = self.pending_gotos[at].1;
-            let Some(Some(LabelBinding::Continuation(segs))) =
-                self.labels.get_mut(l).map(Option::take)
-            else {
+            let Some(segs) = self.labels.take_continuation(l) else {
                 return Err(TraceGenError::UndefinedLabel { label: l });
             };
             let s = self.ts.add_state();
-            self.bind(l, LabelBinding::State(s));
+            self.labels.bind_state(l, s);
             self.walk(&segs, Some(s))?;
         }
         // Merge each goto source with its label state: copy the label
@@ -210,7 +181,7 @@ impl<'e> TraceBuilder<'e> {
         let pairs: Vec<(usize, usize)> = self
             .pending_gotos
             .iter()
-            .map(|&(s, l)| (s, self.label_state(l).expect("resolved above")))
+            .map(|&(s, l)| (s, self.labels.state(l).expect("resolved above")))
             .collect();
         loop {
             let before = self.ts.num_transitions();

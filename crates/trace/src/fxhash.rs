@@ -59,9 +59,14 @@ impl Hasher for FxHasher {
         self.add(i as u64);
     }
 
+    /// The multiply carries every input bit only upwards, so the low bits
+    /// of `hash` depend on the low bits of the words alone; `HashMap`
+    /// picks buckets from the low bits, so the high half is rotated down
+    /// into them (keys that differ only in their high half, such as packed
+    /// state pairs with one side fixed, would otherwise share a bucket).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -154,6 +159,16 @@ mod tests {
         assert_eq!(intern("b", 7), 1);
         assert_eq!(intern("d", hash_of("d")), 3);
         assert_eq!(intern("d", hash_of("d")), 3);
+    }
+
+    #[test]
+    fn keys_differing_only_in_the_high_half_spread_over_low_bits() {
+        // Packed pairs `(a, b)` with `b` fixed: the low hash bits must
+        // still tell the `a` values apart.
+        let low: std::collections::HashSet<u64> = (0..256u64)
+            .map(|a| hash_of(&(a << 32 | 5)) & 0xff)
+            .collect();
+        assert!(low.len() > 128, "only {} distinct low bytes", low.len());
     }
 
     #[test]
